@@ -7,7 +7,8 @@
     fluidspan verify --suite {fast|full}
 
 Exit codes: 0 ok, 1 verification failure, 2 config error, 3 instability,
-4 hypothesis violation.  FLUIDSPAN_THREADS caps the sweep worker pool.
+4 hypothesis violation, 5 solver failure (elliptic non-convergence or
+vacuum).  FLUIDSPAN_THREADS caps the sweep worker pool.
 """
 
 from __future__ import annotations
@@ -30,10 +31,12 @@ from .bootstrap import (
 )
 from .errors import (
     ConfigError,
+    ConvergenceError,
     FluidspanError,
     HypothesisError,
     InstabilityError,
     NestedLogDomainError,
+    VacuumError,
 )
 from .harness import parse_config_file, run_to_directory, sweep
 
@@ -42,6 +45,7 @@ EXIT_VERIFY = 1
 EXIT_CONFIG = 2
 EXIT_INSTABILITY = 3
 EXIT_HYPOTHESIS = 4
+EXIT_SOLVER = 5
 
 
 def _build_parser():
@@ -224,6 +228,9 @@ def main(argv=None):
     except InstabilityError as exc:
         print(f"instability: {exc}", file=sys.stderr)
         code = EXIT_INSTABILITY
+    except (ConvergenceError, VacuumError) as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        code = EXIT_SOLVER
     except FileNotFoundError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         code = EXIT_CONFIG

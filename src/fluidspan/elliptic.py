@@ -9,12 +9,15 @@ after which u = mu (K omega + grad q).  By construction rho u =
 K omega + grad q, so curl(rho u) = omega and the momentum mean vanishes
 to round-off; div u = 0 holds to solver tolerance.
 
-The default method mirrors the perturbative structure of the problem: a
-fixed-point iteration preconditioned by the constant-coefficient inverse
-Laplacian, contracting at a rate proportional to ||mu - 1||.  When the
-measured contraction is poor (mu far from 1) the solve falls back to
-conjugate gradients on the symmetric operator div(mu grad .), again with
-the spectral Laplacian as preconditioner.
+Every solve is warm-started preconditioned conjugate gradients (Shewchuk
+1994) on the symmetric positive form -div(mu grad .), preconditioned by
+the constant-coefficient inverse Laplacian.  Operator and preconditioner
+share the spectral odd-derivative multipliers, which zero the Nyquist
+mode, and the reported residual is that of the returned iterate under the
+same operator.  The perturbative size of the problem is reported as
+||mu - 1||_inf: it bounds the contraction of the fixed point
+q <- Lap^-1 (b - div((mu - 1) grad q)) in the H^1 seminorm, because
+grad Lap^-1 div is an L^2 projection.
 """
 
 from __future__ import annotations
@@ -30,35 +33,141 @@ from .fields import (
     biot_savart,
     divergence,
     gradient,
-    invert_laplacian,
-    laplacian,
-    lp_norm,
     same_grid,
 )
 
 VACUUM_FLOOR = 1e-8
+METHOD = "preconditioned_cg"
+EPS = np.finfo(np.float64).eps
 
 
 @dataclass
 class EllipticSolveReport:
     iterations: int
-    residual: float
-    method: str  # "fixed_point" or "preconditioned_cg"
-    contraction_estimate: float
+    residual: float  # ||div(mu grad q) - b|| / ||b|| for the returned q
+    method: str  # always "preconditioned_cg"
+    contraction_estimate: float  # ||mu - 1||_inf
 
 
-def _div_coeff_grad(coeff_values, q):
-    """div(coeff grad q) with pointwise products, no dealiasing."""
+def _inverse_density(rho):
+    if float(np.min(rho.values)) <= VACUUM_FLOOR:
+        raise VacuumError(
+            f"density not bounded away from zero: min rho = {np.min(rho.values):.3e}"
+        )
+    return 1.0 / rho.values
+
+
+def _operators(grid, mu):
+    """-div(mu grad .) and its preconditioner, the inverse of the mu = 1 case.
+
+    Both vanish on the mean and on the Nyquist modes whose odd derivatives
+    are zeroed, so the iteration never leaves the operator's range.
+    """
+    shape = (grid.nx, grid.ny)
+    ikx, iky = 1j * grid.KXd, 1j * grid.KYd
+    k2 = grid.KXd**2 + grid.KYd**2
+    inv_k2 = np.divide(1.0, k2, out=np.zeros_like(k2), where=k2 > 0.0)
+
+    def apply_a(x):
+        hat = np.fft.rfft2(x)
+        fx = mu * np.fft.irfft2(ikx * hat, s=shape)
+        fy = mu * np.fft.irfft2(iky * hat, s=shape)
+        return -np.fft.irfft2(ikx * np.fft.rfft2(fx) + iky * np.fft.rfft2(fy), s=shape)
+
+    def apply_prec(r):
+        return np.fft.irfft2(inv_k2 * np.fft.rfft2(r), s=shape)
+
+    return apply_a, apply_prec
+
+
+def _pcg_solve(grid, mu, b, tol, max_iter=500, x0=None):
+    """Preconditioned CG for div(mu grad q) = b (arrays), from x0 or zero.
+
+    Each cycle runs until the recurrence residual meets tol, p.Ap <= 0
+    (breakdown), a step no longer changes the iterate (stagnation) or
+    max_iter; the true residual of the iterate then decides: done, restart
+    from it, or stop because it no longer improves.
+
+    Returns (q, iterations, residual) for the best iterate seen, with q
+    mean-zero and residual = ||div(mu grad q) - b|| / ||b|| (mean of b
+    removed).
+    """
+    apply_a, apply_prec = _operators(grid, mu)
+    rhs = np.mean(b) - b
+    rhs_norm = float(np.linalg.norm(rhs))
+    if rhs_norm == 0.0:
+        return ScalarField.zeros(grid), 0, 0.0
+    target = tol * rhs_norm
+
+    x = np.zeros((grid.nx, grid.ny)) if x0 is None else np.array(x0, dtype=np.float64)
+    r = rhs - apply_a(x)
+    best_x, best_norm = x.copy(), float(np.linalg.norm(r))
+    it = 0
+    while best_norm > target and it < max_iter:
+        z = apply_prec(r)
+        p = z
+        rz = float(np.vdot(r, z))
+        while it < max_iter:
+            it += 1
+            ap = apply_a(p)
+            pap = float(np.vdot(p, ap))
+            if not pap > 0.0:
+                break
+            alpha = rz / pap
+            step = alpha * p
+            x += step
+            r -= alpha * ap
+            if np.linalg.norm(r) <= target or np.linalg.norm(step) <= EPS * np.linalg.norm(x):
+                break
+            z = apply_prec(r)
+            rz_new = float(np.vdot(r, z))
+            p = z + (rz_new / rz) * p
+            rz = rz_new
+        r = rhs - apply_a(x)
+        r_norm = float(np.linalg.norm(r))
+        if not r_norm < best_norm:
+            break
+        best_x, best_norm = x.copy(), r_norm
+    return ScalarField(grid, best_x - np.mean(best_x)), it, best_norm / rhs_norm
+
+
+def recover_velocity_detailed(rho, omega, tol=1e-10, q0=None):
+    """Velocity recovery returning (u, q, report) for warm-started stepping.
+
+    q0 is the warm start, typically the previous solve's q.  A best
+    residual above 10 * tol raises ConvergenceError.
+    """
+    grid = same_grid(rho, omega)
+    mu = _inverse_density(rho)
+    dmu = mu - 1.0
+    k_omega = biot_savart(omega)
+    b = -divergence(VectorField(
+        ScalarField(grid, dmu * k_omega.u.values),
+        ScalarField(grid, dmu * k_omega.v.values),
+    ))
+    contraction = float(np.max(np.abs(dmu)))
+    if not np.any(b.values):
+        # unit density: q = 0 exactly, counted as one iteration
+        q, report = ScalarField.zeros(grid), EllipticSolveReport(1, 0.0, METHOD, contraction)
+    else:
+        q, iterations, residual = _pcg_solve(grid, mu, b.values, tol,
+                                             x0=None if q0 is None else q0.values)
+        report = EllipticSolveReport(iterations, residual, METHOD, contraction)
+        if residual > 10 * tol:
+            raise ConvergenceError(
+                f"elliptic solve stopped after {iterations} iterations at residual "
+                f"{residual:.3e} (tol {tol:.1e})",
+                report,
+            )
     gq = gradient(q)
-    w = VectorField(gq.u * coeff_values, gq.v * coeff_values)
-    return divergence(w)
+    u = VectorField(
+        ScalarField(grid, mu * (k_omega.u.values + gq.u.values)),
+        ScalarField(grid, mu * (k_omega.v.values + gq.v.values)),
+    )
+    return u, q, report
 
 
-def _l2(field_values, area):
-    return lp_norm(field_values, 2, area)
-
-
-def solve_q(rho, omega, tol=1e-10, max_iter=500, method="auto", q0=None):
+def solve_q(rho, omega, tol=1e-10, q0=None):
     """Solve div(mu grad q) = -div((mu-1) K omega) for mean-zero q.
 
     Parameters
@@ -68,143 +177,23 @@ def solve_q(rho, omega, tol=1e-10, max_iter=500, method="auto", q0=None):
     omega : ScalarField
         Mean-zero vorticity.
     tol : float
-        Relative residual target (mean-zero projected L2).
-    method : str
-        "auto" starts with the fixed-point iteration and falls back to
-        preconditioned CG when the measured contraction exceeds 0.9;
-        "fixed_point" and "preconditioned_cg" force one branch.
+        Relative residual target; a best residual above 10 * tol raises
+        ConvergenceError.
+    q0 : ScalarField, optional
+        Warm start.
 
     Returns
     -------
     (q, report) : (ScalarField, EllipticSolveReport)
     """
-    grid = same_grid(rho, omega)
-    if float(np.min(rho.values)) <= VACUUM_FLOOR:
-        raise VacuumError(
-            f"density not bounded away from zero: min rho = {np.min(rho.values):.3e}"
-        )
-    mu_vals = 1.0 / rho.values
-    dtheta = mu_vals - 1.0  # delta * theta in the perturbative parametrization
-
-    k_omega = biot_savart(omega)
-    b = -divergence(VectorField(
-        ScalarField(grid, dtheta * k_omega.u.values),
-        ScalarField(grid, dtheta * k_omega.v.values),
-    ))
-    area = grid.cell_area
-    b_norm = _l2(b.values, area)
-    if b_norm == 0.0:
-        q = ScalarField.zeros(grid)
-        return q, EllipticSolveReport(1, 0.0, "fixed_point", 0.0)
-
-    def residual_of(q):
-        r = laplacian(q) + _div_coeff_grad(dtheta, q) - b
-        return _l2(r.values - np.mean(r.values), area) / b_norm
-
-    iterations = 0
-    contraction = 0.0
-    q = q0 if q0 is not None else ScalarField.zeros(grid)
-
-    if method in ("auto", "fixed_point"):
-        prev_step = None
-        while iterations < max_iter:
-            iterations += 1
-            rhs = b - _div_coeff_grad(dtheta, q)
-            rhs = rhs - rhs.mean
-            q_next = invert_laplacian(rhs, mean_tol=np.inf)
-            step = _l2(q_next.values - q.values, area)
-            if prev_step is not None and prev_step > 0.0:
-                contraction = max(contraction, step / prev_step)
-            prev_step = step
-            q = q_next
-            res = residual_of(q)
-            if res <= tol:
-                return q, EllipticSolveReport(iterations, res, "fixed_point", contraction)
-            if method == "auto" and contraction >= 0.9 and iterations >= 3:
-                break
-        if method == "fixed_point":
-            report = EllipticSolveReport(iterations, residual_of(q), "fixed_point", contraction)
-            raise ConvergenceError("fixed-point iteration did not converge", report)
-
-    # Fall back to CG on the symmetric operator, warm-started from whatever
-    # the fixed-point phase produced.
-    q, extra = _pcg_solve(grid, mu_vals, b, tol=tol, max_iter=max_iter - iterations,
-                          x0=q, count=True)
-    iterations += extra
-    res = residual_of(q)
-    if res <= 10 * tol:
-        return q, EllipticSolveReport(iterations, res, "preconditioned_cg", contraction)
-    report = EllipticSolveReport(iterations, res, "preconditioned_cg", contraction)
-    raise ConvergenceError(
-        f"elliptic solve stalled after {iterations} iterations "
-        f"(residual {report.residual:.3e})",
-        report,
-    )
-
-
-def _pcg_solve(grid, mu_vals, b, tol, max_iter=500, x0=None, count=False):
-    """Conjugate gradients for div(mu grad q) = b, preconditioned by Delta^-1.
-
-    Works on the SPD form -div(mu grad .) restricted to mean-zero fields.
-    Returns the mean-zero solution (and the iteration count when asked).
-    """
-    def apply_a(vals):
-        f = ScalarField(grid, vals)
-        return -(_div_coeff_grad(mu_vals, f).values)
-
-    def apply_prec(vals):
-        f = ScalarField(grid, vals - np.mean(vals))
-        return -invert_laplacian(f, mean_tol=np.inf).values
-
-    x = x0.values.copy() if x0 is not None else np.zeros((grid.nx, grid.ny))
-    rhs = -(b.values - np.mean(b.values))
-    rhs_norm = float(np.sqrt(np.sum(rhs * rhs)))
-    if rhs_norm == 0.0:
-        q = ScalarField(grid, np.zeros_like(x))
-        return (q, 0) if count else q
-
-    r = rhs - apply_a(x)
-    z = apply_prec(r)
-    p = z.copy()
-    rz = float(np.sum(r * z))
-    it = 0
-    while it < max_iter:
-        it += 1
-        ap = apply_a(p)
-        alpha = rz / float(np.sum(p * ap))
-        x += alpha * p
-        r -= alpha * ap
-        if float(np.sqrt(np.sum(r * r))) <= tol * rhs_norm:
-            break
-        z = apply_prec(r)
-        rz_new = float(np.sum(r * z))
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    x -= np.mean(x)
-    q = ScalarField(grid, x)
-    return (q, it) if count else q
+    _, q, report = recover_velocity_detailed(rho, omega, tol=tol, q0=q0)
+    return q, report
 
 
 def solve_div_form(rho, f, tol=1e-12, max_iter=500):
     """Solve div(rho^-1 grad q) = f directly for a given right-hand side."""
-    if float(np.min(rho.values)) <= VACUUM_FLOOR:
-        raise VacuumError(
-            f"density not bounded away from zero: min rho = {np.min(rho.values):.3e}"
-        )
-    return _pcg_solve(rho.grid, 1.0 / rho.values, f, tol=tol, max_iter=max_iter)
-
-
-def recover_velocity_detailed(rho, omega, tol=1e-10, method="auto", q0=None):
-    """Velocity recovery returning (u, q, report) for warm-started stepping."""
-    q, report = solve_q(rho, omega, tol=tol, method=method, q0=q0)
-    mu_vals = 1.0 / rho.values
-    k_omega = biot_savart(omega)
-    gq = gradient(q)
-    u = VectorField(
-        ScalarField(rho.grid, mu_vals * (k_omega.u.values + gq.u.values)),
-        ScalarField(rho.grid, mu_vals * (k_omega.v.values + gq.v.values)),
-    )
-    return u, q, report
+    q, _, _ = _pcg_solve(rho.grid, _inverse_density(rho), f.values, tol, max_iter)
+    return q
 
 
 def recover_velocity_iie(rho, omega, tol=1e-10):

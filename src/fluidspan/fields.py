@@ -12,8 +12,6 @@ field, so they are safe to share across threads.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from .errors import (
@@ -24,18 +22,6 @@ from .errors import (
 )
 
 TWO_PI = 2.0 * np.pi
-
-# Fault-injection hook used by the verification suite: when set to "fft",
-# forward transforms are corrupted slightly so conservation checks must fail.
-_FAULT_ENV = "FLUIDSPAN_FAULT"
-
-
-def _rfft2(values):
-    hat = np.fft.rfft2(values)
-    if os.environ.get(_FAULT_ENV, "") == "fft":
-        hat = hat.copy()
-        hat[1, 1] *= 1.001
-    return hat
 
 
 class Grid:
@@ -137,7 +123,7 @@ class ScalarField:
     @property
     def hat(self):
         if self._hat is None:
-            self._hat = _rfft2(self.values)
+            self._hat = np.fft.rfft2(self.values)
         return self._hat
 
     @property

@@ -25,7 +25,13 @@ import numpy as np
 
 from . import __version__
 from .bootstrap import bootstrap_monitor, theory_window
-from .errors import ChordArcError, ConfigError, InstabilityError
+from .errors import (
+    ChordArcError,
+    ConfigError,
+    ConvergenceError,
+    InstabilityError,
+    VacuumError,
+)
 from .fields import Grid, tail_enstrophy_fraction
 from .lagrangian import (
     DuhamelHistory,
@@ -106,6 +112,8 @@ class RunConfig:
             raise ConfigError("particle_m must be at least 4")
         if self.diag_every < 1:
             raise ConfigError("diag_every must be >= 1")
+        if not 0.0 < self.elliptic_tol < 1.0:
+            raise ConfigError(f"elliptic_tol must lie in (0, 1), got {self.elliptic_tol}")
         return self
 
 
@@ -185,7 +193,7 @@ def _fmt(x):
 
 @dataclass
 class RunResult:
-    status: int            # 0 ok, 3 instability
+    status: int            # 0 ok, 3 instability or chord-arc, 5 solver failure
     config: RunConfig
     series: StretchingSeries
     monitor: object
@@ -237,9 +245,10 @@ def _diagnostics_row(state, series, config):
 def run(config, csv_stream=None):
     """Integrate one configured run, recording diagnostics every step.
 
-    Returns a RunResult; an instability ends the run with status 3 and the
-    rows collected so far (the CSV stream, when given, has already seen
-    them line by line).
+    Returns a RunResult; an instability or chord-arc violation ends the run
+    with status 3, an elliptic non-convergence or vacuum with status 5, each
+    keeping the rows collected so far (the CSV stream, when given, has
+    already seen them line by line).
     """
     config.validate()
     kind = ModelKind.parse(config.model)
@@ -275,9 +284,9 @@ def run(config, csv_stream=None):
         csv_stream.write(RUN_CSV_HEADER + "\n")
         csv_stream.flush()
 
-    emit(state)
     steps = 0
     try:
+        emit(state)
         while state.t < config.t_end - 1e-14:
             dt = min(config.dt_max,
                      cfl_limit(state, config.cfl),
@@ -294,6 +303,12 @@ def run(config, csv_stream=None):
     except ChordArcError as exc:
         termination = f"chord-arc violation: {exc}"
         status = 3
+    except ConvergenceError as exc:
+        termination = f"elliptic non-convergence: {exc}"
+        status = 5
+    except VacuumError as exc:
+        termination = f"vacuum: {exc}"
+        status = 5
 
     c_fit = config.c_fit if config.c_fit > 0 else FROZEN_C_FIT[kind]
     monitor = bootstrap_monitor(series, kind, config.delta, c_fit=c_fit)

@@ -85,7 +85,6 @@ class FrozenFieldVelocity:
         self._v = PeriodicInterpolator(w.v)
         comps = velocity_gradient(w)
         self._grad = [PeriodicInterpolator(c, grid=w.grid) for c in comps]
-        self.grad_inf = grad_u_inf_norm(w)
 
     def velocity_at(self, t, points):
         return np.stack([self._u(points), self._v(points)], axis=-1)

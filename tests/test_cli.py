@@ -49,6 +49,30 @@ def test_run_invalid_config_exit_2(tmp_path, capsys):
 
     assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 2
 
+    for tol in ("0", "1", "nan"):
+        cfg3 = tmp_path / "bad3.cfg"
+        cfg3.write_text(f"model = iie\nelliptic_tol = {tol}\n")
+        assert main(["run", "--config", str(cfg3)]) == 2
+
+
+def test_run_solver_failure_exit_5(tmp_path, capsys):
+    # A tolerance below round-off cannot be met: the solve stops at its best
+    # iterate and the run ends cleanly with status 5.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "model = iie\nnx = 32\nny = 32\ndelta = 0.5\n"
+        "delta_norm = inv_rho_minus_1_W2p\nelliptic_tol = 1e-17\n"
+        "t_end = 0.05\ndt_max = 0.01\ntrack_particles = false\n"
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 5
+    meta = json.loads((out / "run_meta.json").read_text())
+    assert meta["status"] == 5
+    assert meta["termination"].startswith("elliptic non-convergence: ")
+    assert meta["monitor"]["t_emp"] is None
+    lines = (out / "run.csv").read_text().strip().splitlines()
+    assert len(lines) == 1  # header only: the first row needs the first solve
+
 
 def test_run_and_sweep_roundtrip(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fluidspan.elliptic import recover_velocity_detailed, recover_velocity_iie, solve_q
-from fluidspan.errors import VacuumError
+from fluidspan.errors import ConvergenceError, VacuumError
 from fluidspan.fields import (
     Grid,
     ScalarField,
@@ -12,8 +12,10 @@ from fluidspan.fields import (
     divergence,
     grad_u_inf_norm,
     gradient,
+    invert_laplacian,
     lp_norm,
 )
+from fluidspan.harness import RunConfig, run
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +25,20 @@ def grid():
 
 def omega_default(grid):
     return ScalarField.from_function(grid, lambda x, y: np.sin(x) * np.sin(y))
+
+
+def div_mu_grad(mu, q):
+    gq = gradient(q)
+    return divergence(VectorField(ScalarField(q.grid, mu * gq.u.values),
+                                  ScalarField(q.grid, mu * gq.v.values)))
+
+
+def forcing(rho, omega):
+    """b = -div((mu - 1) K omega), built from the fields toolbox alone."""
+    dmu = 1.0 / rho.values - 1.0
+    k = biot_savart(omega)
+    return -divergence(VectorField(ScalarField(rho.grid, dmu * k.u.values),
+                                   ScalarField(rho.grid, dmu * k.v.values)))
 
 
 def test_homogeneous_density_gives_zero_q(grid):
@@ -38,24 +54,16 @@ def test_manufactured_solution(grid):
     # same discrete operator, solve, compare.
     q_star = ScalarField.from_function(grid, lambda x, y: np.sin(x + y))
     mu = 1.0 + 0.05 * np.sin(grid.X)
-    rho = ScalarField(grid, 1.0 / mu)
+    f = div_mu_grad(mu, q_star)
 
-    gq = gradient(q_star)
-    f = divergence(VectorField(
-        ScalarField(grid, mu * gq.u.values),
-        ScalarField(grid, mu * gq.v.values),
-    ))
+    # The operator the solver inverts is the toolbox's div(mu grad .): the
+    # solve is checked through solve_div_form below and solve_q's reported
+    # residual in test_residual_is_honest.
+    from fluidspan.elliptic import _operators
 
-    # Reuse the CG branch directly on the manufactured right-hand side by
-    # rephrasing: div(mu grad q) = f  <=>  the solver's equation with b = f.
-    # solve_q builds its own b from omega, so manufacture omega such that
-    # -div((mu-1) K omega) = f is not available in closed form; instead verify
-    # the operator identity through the full velocity recovery below and test
-    # the raw solve through a matching omega-free harness.
-    from fluidspan.elliptic import _div_coeff_grad
-
-    lhs = _div_coeff_grad(mu, q_star)
-    rel = lp_norm(lhs.values - f.values, 2, grid.cell_area) / lp_norm(f.values, 2, grid.cell_area)
+    apply_a, _ = _operators(grid, mu)
+    lhs = -apply_a(q_star.values)
+    rel = lp_norm(lhs - f.values, 2, grid.cell_area) / lp_norm(f.values, 2, grid.cell_area)
     assert rel < 1e-13
 
 
@@ -82,8 +90,10 @@ def test_perturbative_solve_properties(grid):
     rho = ScalarField(grid, 1.0 / mu)
     q, report = solve_q(rho, omega, tol=1e-10)
     assert report.residual <= 1e-10
-    assert report.method == "fixed_point"
-    assert 0.0 < report.contraction_estimate < 0.5  # O(delta) contraction
+    assert report.method == "preconditioned_cg"
+    # ||mu - 1||_inf bounds the perturbative fixed-point contraction: O(delta)
+    assert report.contraction_estimate == pytest.approx(np.max(np.abs(mu - 1.0)))
+    assert 0.0 < report.contraction_estimate < 0.5
 
 
 def test_vacuum_rejected(grid):
@@ -129,15 +139,57 @@ def test_velocity_self_consistency(grid):
 
 
 def test_methods_agree(grid):
+    # Reference: the perturbative Picard iteration q <- Lap^-1 (b - div((mu-1)
+    # grad q)), which contracts by ||mu - 1||_inf = 0.2 per sweep.
     omega = omega_default(grid)
     mu = 1.0 + 0.2 * np.sin(grid.X) * np.cos(grid.Y)
     rho = ScalarField(grid, 1.0 / mu)
+    b = forcing(rho, omega)
+    q_ref = ScalarField.zeros(grid)
+    for _ in range(40):
+        rhs = b - div_mu_grad(mu - 1.0, q_ref)
+        q_ref = invert_laplacian(rhs - rhs.mean, mean_tol=np.inf)
+
     tol = 1e-11
-    q_fp, _ = solve_q(rho, omega, tol=tol, method="fixed_point")
-    q_cg, rep = solve_q(rho, omega, tol=tol, method="preconditioned_cg")
+    q, rep = solve_q(rho, omega, tol=tol)
     assert rep.method == "preconditioned_cg"
-    diff = lp_norm(q_fp.values - q_cg.values, 2, grid.cell_area)
+    diff = lp_norm(q_ref.values - q.values, 2, grid.cell_area)
     assert diff <= 10 * tol
+
+
+@pytest.mark.parametrize("mu_fn", [
+    lambda x, y: 1.0 + 0.05 * np.sin(y),
+    lambda x, y: 1.0 + 0.9 * np.sin(x) * np.cos(y),  # strong contrast
+])
+def test_residual_is_honest(grid, mu_fn):
+    omega = omega_default(grid)
+    mu = mu_fn(grid.X, grid.Y)
+    rho = ScalarField(grid, 1.0 / mu)
+    tol = 1e-10
+    q, rep = solve_q(rho, omega, tol=tol)
+    b = forcing(rho, omega)
+    r = div_mu_grad(mu, q).values - b.values
+    recomputed = np.linalg.norm(r) / np.linalg.norm(b.values)
+    assert rep.residual <= tol
+    assert abs(rep.residual - recomputed) <= 1e-12
+
+
+def test_unreachable_tolerance_stops_at_best_iterate(grid):
+    omega = omega_default(grid)
+    rho = ScalarField(grid, 1.0 / (1.0 + 0.3 * np.sin(grid.X) * np.cos(grid.Y)))
+    with pytest.raises(ConvergenceError) as info:
+        solve_q(rho, omega, tol=1e-17)
+    rep = info.value.report
+    assert rep.iterations < 100  # stagnation stop, not max_iter
+    assert rep.residual <= 1e-13  # round-off floor, not a divergent iterate
+
+
+def test_strong_density_contrast_run_completes():
+    cfg = RunConfig(model="iie", nx=32, ny=32, delta=5.0, t_end=0.02,
+                    dt_max=0.01, track_particles=False)
+    result = run(cfg)
+    assert result.status == 0, result.termination
+    assert result.termination == "completed"
 
 
 def test_refinement_invariance():
