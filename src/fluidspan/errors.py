@@ -12,10 +12,6 @@ class FluidspanError(Exception):
     """Base class for all package errors."""
 
 
-class InvalidFieldError(FluidspanError):
-    """A field contains NaN or Inf values."""
-
-
 class SolvabilityError(FluidspanError):
     """Poisson solve requested for a right-hand side with nonzero mean."""
 

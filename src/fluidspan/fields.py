@@ -1,25 +1,24 @@
 """Fourier-spectral scalar/vector fields on the periodic square [0, 2pi)^2.
 
-Fields carry physical samples on a uniform nx x ny grid together with an
-on-demand rfft2 mirror.  All operators (derivatives, inverse Laplacian,
-Biot-Savart, Poisson bracket) act in spectral space and are exact for
-band-limited data.  Quadratic products are formed pointwise in physical
-space; callers dealias them with :func:`dealias` (2/3 rule by default).
+Each operator is implemented once, as a kernel on rfft2 coefficient arrays
+(``*_hat`` functions): derivatives multiply by i^(a+b) kx^a ky^b, and a
+quadratic term is formed pointwise in physical space and brought back by
+one forward transform masked by the grid's 2/3 rule (Orszag 1971).  The
+time integrator in :mod:`fluidspan.models` works on these kernels directly.
 
-Fields are immutable after construction: every operation returns a new
-field, so they are safe to share across threads.
+:class:`ScalarField` carries physical samples on a uniform nx x ny grid
+together with an on-demand rfft2 mirror; the field-level toolbox
+(derivatives, inverse Laplacian, Biot-Savart, Poisson bracket, advection,
+dealiasing) wraps the kernels.  Fields are immutable after construction:
+every operation returns a new field, so they are safe to share across
+threads.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    GridMismatchError,
-    InvalidFieldError,
-    ParameterError,
-    SolvabilityError,
-)
+from .errors import GridMismatchError, ParameterError, SolvabilityError
 
 TWO_PI = 2.0 * np.pi
 
@@ -55,20 +54,20 @@ class Grid:
         self.y = self.dy * np.arange(self.ny)
         self.X, self.Y = np.meshgrid(self.x, self.y, indexing="ij")
 
-        kx = np.fft.fftfreq(self.nx, d=1.0 / self.nx)
-        ky = np.fft.rfftfreq(self.ny, d=1.0 / self.ny)
-        self.KX, self.KY = np.meshgrid(kx, ky, indexing="ij")
+        # Wavenumbers of the rfft2 half plane as a column (nx, 1) and a row
+        # (1, ny//2 + 1) that broadcast against coefficient arrays.
+        self.KX = np.fft.fftfreq(self.nx, d=1.0 / self.nx)[:, None]
+        self.KY = np.fft.rfftfreq(self.ny, d=1.0 / self.ny)[None, :]
         self.K2 = self.KX**2 + self.KY**2
         self._k2_safe = self.K2.copy()
         self._k2_safe[0, 0] = 1.0
 
         # Odd-order derivative multipliers zero the Nyquist mode, which has
         # no well-defined sign on an even grid.
-        kx_d = kx.copy()
-        kx_d[self.nx // 2] = 0.0
-        ky_d = ky.copy()
-        ky_d[-1] = 0.0
-        self.KXd, self.KYd = np.meshgrid(kx_d, ky_d, indexing="ij")
+        self.KXd = self.KX.copy()
+        self.KXd[self.nx // 2] = 0.0
+        self.KYd = self.KY.copy()
+        self.KYd[:, -1] = 0.0
 
         cut_x = self.dealias_fraction * (self.nx / 2)
         cut_y = self.dealias_fraction * (self.ny / 2)
@@ -113,8 +112,7 @@ class ScalarField:
 
     @classmethod
     def from_hat(cls, grid, hat):
-        values = np.fft.irfft2(hat, s=(grid.nx, grid.ny))
-        return cls(grid, values, _hat=hat)
+        return cls(grid, to_physical(grid, hat), _hat=hat)
 
     @classmethod
     def zeros(cls, grid):
@@ -132,9 +130,6 @@ class ScalarField:
 
     def max_abs(self):
         return float(np.max(np.abs(self.values)))
-
-    def is_finite(self):
-        return bool(np.all(np.isfinite(self.values)))
 
     # Pointwise arithmetic; products of near-Nyquist content alias and
     # should be followed by dealias().
@@ -175,26 +170,13 @@ class VectorField:
         self.u = u
         self.v = v
 
-    @classmethod
-    def zeros(cls, grid):
-        return cls(ScalarField.zeros(grid), ScalarField.zeros(grid))
-
     def max_abs(self):
         return float(np.sqrt(np.max(self.u.values**2 + self.v.values**2)))
-
-    def __add__(self, other):
-        return VectorField(self.u + other.u, self.v + other.v)
-
-    def __sub__(self, other):
-        return VectorField(self.u - other.u, self.v - other.v)
 
     def __mul__(self, scalar):
         return VectorField(self.u * scalar, self.v * scalar)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return VectorField(-self.u, -self.v)
 
 
 def _coerce(field, other):
@@ -214,27 +196,84 @@ def same_grid(*fields):
 
 
 # ---------------------------------------------------------------------------
-# spectral operators
+# kernels on rfft2 coefficient arrays
+# ---------------------------------------------------------------------------
+
+_I_POWERS = (1.0, 1j, -1.0, -1j)
+
+
+def to_physical(grid, hat):
+    return np.fft.irfft2(hat, s=(grid.nx, grid.ny))
+
+
+def dealias_hat(grid, hat):
+    """Zero every mode beyond the grid's dealias cutoff."""
+    return hat * grid.dealias_keep
+
+
+def product_hat(grid, values):
+    """Dealiased coefficients of a quadratic term sampled on the grid: one
+    forward transform, masked."""
+    return dealias_hat(grid, np.fft.rfft2(values))
+
+
+def derivative_hat(grid, hat, a, b):
+    """Coefficients of d_x^a d_y^b f: hat times i^(a+b) kx^a ky^b.
+
+    Odd orders use the wavenumbers with the Nyquist mode zeroed.
+    """
+    kx = grid.KXd if a % 2 else grid.KX
+    ky = grid.KYd if b % 2 else grid.KY
+    return _I_POWERS[(a + b) % 4] * (kx**a * ky**b) * hat
+
+
+def inverse_laplacian_hat(grid, hat):
+    """Coefficients of the mean-zero g with Laplace(g) = f - mean(f)."""
+    out = -hat / grid._k2_safe
+    out[0, 0] = 0.0
+    return out
+
+
+def velocity_hat(grid, omega_hat):
+    """Coefficients of u = grad^perp Laplace^{-1} omega, as (u1, u2)."""
+    psi = inverse_laplacian_hat(grid, omega_hat)
+    return -derivative_hat(grid, psi, 0, 1), derivative_hat(grid, psi, 1, 0)
+
+
+def _gradient_values(grid, hat):
+    return (to_physical(grid, derivative_hat(grid, hat, 1, 0)),
+            to_physical(grid, derivative_hat(grid, hat, 0, 1)))
+
+
+def advection_hat(grid, u1, u2, f_hat):
+    """Dealiased coefficients of u . grad f for physical velocity components."""
+    fx, fy = _gradient_values(grid, f_hat)
+    return product_hat(grid, u1 * fx + u2 * fy)
+
+
+def bracket_hat(grid, f_hat, g_hat):
+    """Dealiased coefficients of {f, g} = grad^perp f . grad g."""
+    fx, fy = _gradient_values(grid, f_hat)
+    gx, gy = _gradient_values(grid, g_hat)
+    return product_hat(grid, fx * gy - fy * gx)
+
+
+# ---------------------------------------------------------------------------
+# field-level toolbox
 # ---------------------------------------------------------------------------
 
 def spectral_derivative(f, alpha):
     """Return the partial derivative d^alpha f for a multi-index alpha.
 
     alpha = (a, b) with a + b <= 4 differentiates a times in x and b times
-    in y by multiplying spectral coefficients with (i kx)^a (i ky)^b.
+    in y by multiplying spectral coefficients with i^(a+b) kx^a ky^b.
     """
     a, b = int(alpha[0]), int(alpha[1])
     if a < 0 or b < 0 or a + b > 4:
         raise ParameterError(f"multi-index {alpha} outside |alpha| <= 4")
-    if not f.is_finite():
-        raise InvalidFieldError("cannot differentiate a non-finite field")
     if a == 0 and b == 0:
         return f
-    g = f.grid
-    kx = g.KXd if a % 2 else g.KX
-    ky = g.KYd if b % 2 else g.KY
-    mult = (1j * kx) ** a * (1j * ky) ** b
-    return ScalarField.from_hat(g, mult * f.hat)
+    return ScalarField.from_hat(f.grid, derivative_hat(f.grid, f.hat, a, b))
 
 
 def gradient(f):
@@ -259,38 +298,37 @@ def laplacian(f):
     return ScalarField.from_hat(f.grid, -f.grid.K2 * f.hat)
 
 
-def invert_laplacian(f, mean_tol=1e-10):
-    """Solve Laplace(g) = f for the unique mean-zero g.
-
-    The torus Laplacian is only invertible on mean-zero data; a right-hand
-    side whose mean exceeds mean_tol * max|f| raises SolvabilityError.
-    """
+def _require_mean_zero(f, mean_tol):
+    """The torus Laplacian is only invertible on mean-zero data."""
     scale = f.max_abs()
     m = f.mean
     if abs(m) > mean_tol * max(scale, 1e-300):
         raise SolvabilityError(
             f"inverse Laplacian needs a mean-zero field; offending mean = {m:.3e}"
         )
-    g = f.grid
-    hat = -f.hat / g._k2_safe
-    hat[0, 0] = 0.0
-    return ScalarField.from_hat(g, hat)
+
+
+def invert_laplacian(f, mean_tol=1e-10):
+    """Solve Laplace(g) = f for the unique mean-zero g.
+
+    A right-hand side whose mean exceeds mean_tol * max|f| raises
+    SolvabilityError.
+    """
+    _require_mean_zero(f, mean_tol)
+    return ScalarField.from_hat(f.grid, inverse_laplacian_hat(f.grid, f.hat))
 
 
 def biot_savart(omega, mean_tol=1e-10):
     """Velocity u = grad^perp Laplace^{-1} omega; div-free with curl u = omega."""
-    psi = invert_laplacian(omega, mean_tol=mean_tol)
-    return perp_gradient(psi)
+    _require_mean_zero(omega, mean_tol)
+    g = omega.grid
+    u1, u2 = velocity_hat(g, omega.hat)
+    return VectorField(ScalarField.from_hat(g, u1), ScalarField.from_hat(g, u2))
 
 
 def dealias(f):
     """Zero every mode beyond the grid's dealias cutoff (idempotent)."""
-    hat = f.hat * f.grid.dealias_keep
-    return ScalarField.from_hat(f.grid, hat)
-
-
-def dealias_vector(w):
-    return VectorField(dealias(w.u), dealias(w.v))
+    return ScalarField.from_hat(f.grid, dealias_hat(f.grid, f.hat))
 
 
 def poisson_bracket(f, g):
@@ -298,21 +336,14 @@ def poisson_bracket(f, g):
 
     Antisymmetric to round-off; {f, c} = 0 for constant c.
     """
-    same_grid(f, g)
-    fx = spectral_derivative(f, (1, 0)).values
-    fy = spectral_derivative(f, (0, 1)).values
-    gx = spectral_derivative(g, (1, 0)).values
-    gy = spectral_derivative(g, (0, 1)).values
-    raw = ScalarField(f.grid, fx * gy - fy * gx)
-    return dealias(raw)
+    grid = same_grid(f, g)
+    return ScalarField.from_hat(grid, bracket_hat(grid, f.hat, g.hat))
 
 
 def advection(w, f):
     """Transport term u . grad f, dealiased."""
-    same_grid(w.u, f)
-    fx = spectral_derivative(f, (1, 0)).values
-    fy = spectral_derivative(f, (0, 1)).values
-    return dealias(ScalarField(f.grid, w.u.values * fx + w.v.values * fy))
+    grid = same_grid(w.u, f)
+    return ScalarField.from_hat(grid, advection_hat(grid, w.u.values, w.v.values, f.hat))
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,7 @@ from .models import (
     conserved_quantities,
     initial_state,
     step_detailed,
+    w4p_norm,
 )
 
 RUN_CSV_HEADER = ("t,M,M_measured,N,Q,Y,Z,omega_inf,omega_w1p,rho_w2p,"
@@ -246,30 +247,20 @@ def run(config, csv_stream=None):
     """Integrate one configured run, recording diagnostics every step.
 
     Returns a RunResult; an instability or chord-arc violation ends the run
-    with status 3, an elliptic non-convergence or vacuum with status 5, each
+    with status 3, an elliptic non-convergence or vacuum (also one in the
+    initial data) with status 5, each
     keeping the rows collected so far (the CSV stream, when given, has
     already seen them line by line).
     """
     config.validate()
     kind = ModelKind.parse(config.model)
     grid = Grid(config.nx, config.ny)
-    state = initial_state(kind, grid, delta=config.delta,
-                          delta_norm=config.delta_norm, p=config.p,
-                          seed_profile=config.seed_profile,
-                          elliptic_tol=config.elliptic_tol)
     ens = identity_ensemble(config.particle_m) if config.track_particles else None
     series = StretchingSeries(kind=kind, p=config.p, c_m=config.c_m, c_n=config.c_n)
     rows = []
     termination = "completed"
     status = 0
-
     initial_checks = {}
-    if kind in MHD_KINDS:
-        # the MHD theory works under ||rho0||_{4,p} <= 100; recorded, not enforced
-        from .models import w4p_norm
-
-        initial_checks["rho0_w4p"] = w4p_norm(state.density(), p=config.p)
-        initial_checks["rho0_w4p_within_100"] = initial_checks["rho0_w4p"] <= 100.0
 
     def emit(state):
         record(series, state, ens)
@@ -286,6 +277,14 @@ def run(config, csv_stream=None):
 
     steps = 0
     try:
+        state = initial_state(kind, grid, delta=config.delta,
+                              delta_norm=config.delta_norm, p=config.p,
+                              seed_profile=config.seed_profile,
+                              elliptic_tol=config.elliptic_tol)
+        if kind in MHD_KINDS:
+            # the MHD theory works under ||rho0||_{4,p} <= 100; recorded, not enforced
+            initial_checks["rho0_w4p"] = w4p_norm(state.density(), p=config.p)
+            initial_checks["rho0_w4p_within_100"] = initial_checks["rho0_w4p"] <= 100.0
         emit(state)
         while state.t < config.t_end - 1e-14:
             dt = min(config.dt_max,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 from scipy import ndimage
@@ -46,22 +47,12 @@ from .models import MHD_KINDS, ModelKind
 _SPLINE_ORDER = 3
 
 
-def _spline_coeffs(values):
-    return ndimage.spline_filter(values, order=_SPLINE_ORDER, mode="grid-wrap")
-
-
-def _interp(coeffs, grid, points):
-    """Evaluate prefiltered spline coefficients at points (..., 2)."""
-    pts = np.asarray(points)
-    coords = np.stack([pts[..., 0] / grid.dx, pts[..., 1] / grid.dy])
-    return ndimage.map_coordinates(
-        coeffs, coords.reshape(2, -1), order=_SPLINE_ORDER,
-        mode="grid-wrap", prefilter=False,
-    ).reshape(pts.shape[:-1])
-
-
 class PeriodicInterpolator:
-    """Bicubic periodic interpolation of one gridded scalar."""
+    """Bicubic periodic interpolation of one gridded scalar.
+
+    ``grid`` only needs the spacings dx and dy; it is taken from the field
+    when a ScalarField is given.
+    """
 
     def __init__(self, field_or_values, grid=None):
         if isinstance(field_or_values, ScalarField):
@@ -70,14 +61,26 @@ class PeriodicInterpolator:
         else:
             self.grid = grid
             values = field_or_values
-        self._coeffs = _spline_coeffs(values)
+        self._coeffs = ndimage.spline_filter(values, order=_SPLINE_ORDER, mode="grid-wrap")
 
     def __call__(self, points):
-        return _interp(self._coeffs, self.grid, points)
+        """Evaluate at points of shape (..., 2)."""
+        pts = np.asarray(points)
+        coords = np.stack([pts[..., 0] / self.grid.dx, pts[..., 1] / self.grid.dy])
+        return ndimage.map_coordinates(
+            self._coeffs, coords.reshape(2, -1), order=_SPLINE_ORDER,
+            mode="grid-wrap", prefilter=False,
+        ).reshape(pts.shape[:-1])
+
+
+def _label_interpolator(values):
+    """Periodic bicubic interpolation over the m x m label grid."""
+    h = TWO_PI / values.shape[0]
+    return PeriodicInterpolator(values, grid=SimpleNamespace(dx=h, dy=h))
 
 
 class FrozenFieldVelocity:
-    """Velocity provider backed by one gridded snapshot (ignores t)."""
+    """Velocity provider backed by one gridded snapshot (ignores t and stage)."""
 
     def __init__(self, w: VectorField):
         self.grid = w.grid
@@ -86,10 +89,10 @@ class FrozenFieldVelocity:
         comps = velocity_gradient(w)
         self._grad = [PeriodicInterpolator(c, grid=w.grid) for c in comps]
 
-    def velocity_at(self, t, points):
+    def velocity_at(self, t, points, stage):
         return np.stack([self._u(points), self._v(points)], axis=-1)
 
-    def gradient_at(self, t, points):
+    def gradient_at(self, t, points, stage):
         a, b, c, d = (g(points) for g in self._grad)
         out = np.empty(points.shape[:-1] + (2, 2))
         out[..., 0, 0] = a
@@ -100,18 +103,19 @@ class FrozenFieldVelocity:
 
 
 class AnalyticVelocity:
-    """Velocity provider from closed-form u(t, x, y) and grad u(t, x, y)."""
+    """Velocity provider from closed-form u(t, x, y) and grad u(t, x, y)
+    (ignores the stage)."""
 
     def __init__(self, u_fn, grad_fn):
         self.u_fn = u_fn
         self.grad_fn = grad_fn
 
-    def velocity_at(self, t, points):
+    def velocity_at(self, t, points, stage):
         u, v = self.u_fn(t, points[..., 0], points[..., 1])
         return np.stack([np.broadcast_to(u, points.shape[:-1]),
                          np.broadcast_to(v, points.shape[:-1])], axis=-1)
 
-    def gradient_at(self, t, points):
+    def gradient_at(self, t, points, stage):
         a, b, c, d = self.grad_fn(t, points[..., 0], points[..., 1])
         out = np.empty(points.shape[:-1] + (2, 2))
         out[..., 0, 0] = np.broadcast_to(a, points.shape[:-1])
@@ -122,21 +126,21 @@ class AnalyticVelocity:
 
 
 class StageVelocity:
-    """Provider built from the RK4 stage velocities of a model step."""
+    """Provider built from the RK4 stage velocities of a model step.
+
+    ``stages`` are the four stage velocity fields from
+    models.step_detailed, in stage order; stage k of the flow-map step
+    reads stage k of the field step.
+    """
 
     def __init__(self, stages):
-        # stages: list of (time, VectorField) from models.step_detailed
-        self._entries = [(t, FrozenFieldVelocity(w)) for t, w in stages]
+        self._stages = [FrozenFieldVelocity(w) for w in stages]
 
-    def _pick(self, t):
-        times = np.array([e[0] for e in self._entries])
-        return self._entries[int(np.argmin(np.abs(times - t)))][1]
+    def velocity_at(self, t, points, stage):
+        return self._stages[stage].velocity_at(t, points, stage)
 
-    def velocity_at(self, t, points):
-        return self._pick(t).velocity_at(t, points)
-
-    def gradient_at(self, t, points):
-        return self._pick(t).gradient_at(t, points)
+    def gradient_at(self, t, points, stage):
+        return self._stages[stage].gradient_at(t, points, stage)
 
 
 @dataclass
@@ -167,22 +171,23 @@ def identity_ensemble(m=64):
 def advect_flow_map(ens, provider, dt):
     """One RK4 step of the coupled position/Jacobian system.
 
-    ``provider`` exposes velocity_at(t, pts) -> (..., 2) and
-    gradient_at(t, pts) -> (..., 2, 2); positions wrap on the torus.
+    ``provider`` exposes velocity_at(t, pts, stage) -> (..., 2) and
+    gradient_at(t, pts, stage) -> (..., 2, 2), where stage is the RK4 stage
+    index 0..3; positions wrap on the torus.
     """
     t = ens.t
     x0, g0 = ens.x, ens.jac
 
-    def f(ti, x, g):
-        dx = provider.velocity_at(ti, np.mod(x, TWO_PI))
-        gu = provider.gradient_at(ti, np.mod(x, TWO_PI))
+    def f(stage, ti, x, g):
+        dx = provider.velocity_at(ti, np.mod(x, TWO_PI), stage)
+        gu = provider.gradient_at(ti, np.mod(x, TWO_PI), stage)
         dg = np.einsum("...ab,...bc->...ac", gu, g)
         return dx, dg
 
-    k1x, k1g = f(t, x0, g0)
-    k2x, k2g = f(t + 0.5 * dt, x0 + 0.5 * dt * k1x, g0 + 0.5 * dt * k1g)
-    k3x, k3g = f(t + 0.5 * dt, x0 + 0.5 * dt * k2x, g0 + 0.5 * dt * k2g)
-    k4x, k4g = f(t + dt, x0 + dt * k3x, g0 + dt * k3g)
+    k1x, k1g = f(0, t, x0, g0)
+    k2x, k2g = f(1, t + 0.5 * dt, x0 + 0.5 * dt * k1x, g0 + 0.5 * dt * k1g)
+    k3x, k3g = f(2, t + 0.5 * dt, x0 + 0.5 * dt * k2x, g0 + 0.5 * dt * k2g)
+    k4x, k4g = f(3, t + dt, x0 + dt * k3x, g0 + dt * k3g)
 
     x = x0 + (dt / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
     g = g0 + (dt / 6.0) * (k1g + 2 * k2g + 2 * k3g + k4g)
@@ -216,22 +221,9 @@ def _label_interpolators(ens):
     The displacement uses the unwrapped lift kept by advect_flow_map, so it
     is smooth and periodic in the label even when particles travel far.
     """
-    m = ens.m
     disp = ens.x - ens.labels
-
-    class LabelGrid:
-        dx = TWO_PI / m
-        dy = TWO_PI / m
-
-    lg = LabelGrid()
-    disp_i = [
-        (lambda c: (lambda pts: _interp(c, lg, pts)))(_spline_coeffs(disp[..., k]))
-        for k in range(2)
-    ]
-    jac_i = [
-        (lambda c: (lambda pts: _interp(c, lg, pts)))(_spline_coeffs(ens.jac[..., a, b]))
-        for a in range(2) for b in range(2)
-    ]
+    disp_i = [_label_interpolator(disp[..., k]) for k in range(2)]
+    jac_i = [_label_interpolator(ens.jac[..., a, b]) for a in range(2) for b in range(2)]
     return disp_i, jac_i
 
 
@@ -519,15 +511,7 @@ def duhamel_vorticity(ens, history, grid):
     w_labels = np.einsum("...k,...k->...", history.perp0, history.integral)
     values = history.omega0 - w_labels
     labels = back_to_label(ens, grid)
-
-    m = values.shape[0]
-
-    class LabelGrid:
-        dx = TWO_PI / m
-        dy = TWO_PI / m
-
-    coeffs = _spline_coeffs(values)
-    rec = _interp(coeffs, LabelGrid(), labels.reshape(-1, 2))
+    rec = _label_interpolator(values)(labels.reshape(-1, 2))
     return ScalarField(grid, rec.reshape(grid.nx, grid.ny))
 
 

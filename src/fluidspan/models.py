@@ -17,39 +17,43 @@ with the energy functional selecting the model:
 * inhomogeneous   dE/drho = |u|^2 / 2 and u recovered by the modified
   Euler (IIE)     Biot-Savart law (elliptic module).
 
-Quadratic terms are dealiased with the grid's 2/3 rule.  Time stepping is
-classical RK4 with a CFL-limited step; nothing is renormalized, so every
-conservation statement is a measured output.
+The prognostic fields travel through the RK4 stages as one tuple of rfft2
+coefficient arrays per model: (omega,) for Euler, (xi, eta) for the
+Elsasser form and (omega, rho) otherwise.  Each stage evaluates the
+tendency pseudo-spectrally with the kernels of :mod:`fluidspan.fields`:
+derivatives are multipliers, and every quadratic term takes one forward
+transform masked by the grid's 2/3 rule.  Time stepping is classical RK4
+with a CFL-limited step; nothing is renormalized, so every conservation
+statement is a measured output.
 """
 
 from __future__ import annotations
 
+import copy
 import enum
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .elliptic import recover_velocity_detailed
-from .errors import (
-    InstabilityError,
-    InvalidFieldError,
-    ParameterError,
-    VacuumError,
-)
+from .errors import InstabilityError, ParameterError, VacuumError
 from .fields import (
     ScalarField,
-    VectorField,
     advection,
+    advection_hat,
     biot_savart,
-    dealias,
+    bracket_hat,
+    derivative_hat,
+    inverse_laplacian_hat,
     invert_laplacian,
     laplacian,
     lp_norm,
     perp_gradient,
     poisson_bracket,
+    product_hat,
     same_grid,
     sobolev_norm,
     spectral_derivative,
+    to_physical,
 )
 
 
@@ -72,47 +76,90 @@ class ModelKind(enum.Enum):
 
 MHD_KINDS = (ModelKind.MHD_VORTICITY_CURRENT, ModelKind.MHD_ELSASSER)
 
+# The prognostic fields of each model, in the order of FluidState.coeffs.
+FIELD_NAMES = {
+    ModelKind.EULER: ("omega",),
+    ModelKind.BOUSSINESQ: ("omega", "rho"),
+    ModelKind.MHD_VORTICITY_CURRENT: ("omega", "rho"),
+    ModelKind.MHD_ELSASSER: ("xi", "eta"),
+    ModelKind.IIE: ("omega", "rho"),
+}
 
-@dataclass
+
 class FluidState:
-    """Model-tagged field bundle at a single time.
+    """Model-tagged prognostic fields at a single time.
 
-    Confined to one integration thread; ``aux`` carries per-run caches
-    (recovered velocity, elliptic warm start) and is shared across the
-    states produced by a stepping sequence.
+    The fields are carried as ``coeffs``, one tuple of rfft2 coefficient
+    arrays ordered as FIELD_NAMES[kind].  ``omega``, ``rho``, ``xi`` and
+    ``eta`` return them as ScalarFields (None for a field the model does
+    not carry); these and the velocity are computed at most once per state.
+    Derived fields (density, current, magnetic field) are not kept, so a
+    state holds no more arrays than its fields and velocity.  ``mass_mean``
+    is the mean of rho, fixed by the initial data.
+
+    Confined to one integration thread; ``aux`` carries the per-run
+    elliptic warm start and is shared across the states produced by a
+    stepping sequence.
     """
 
-    kind: ModelKind
-    t: float
-    omega: ScalarField | None = None
-    rho: ScalarField | None = None
-    xi: ScalarField | None = None
-    eta: ScalarField | None = None
-    mass_mean: float = 1.0  # mean of rho, fixed by the initial data
-    elliptic_tol: float = 1e-10
-    aux: dict = field(default_factory=dict)
+    def __init__(self, kind, t, omega=None, rho=None, xi=None, eta=None,
+                 mass_mean=1.0, elliptic_tol=1e-10, aux=None):
+        given = {"omega": omega, "rho": rho, "xi": xi, "eta": eta}
+        names = FIELD_NAMES[kind]
+        if any(given[name] is None for name in names):
+            raise ParameterError(f"a {kind.value} state needs " + ", ".join(names))
+        self.kind = kind
+        self.t = t
+        self.grid = same_grid(*(given[name] for name in names))
+        self.coeffs = tuple(given[name].hat for name in names)
+        self.mass_mean = mass_mean
+        self.elliptic_tol = elliptic_tol
+        self.aux = {} if aux is None else aux
+        self._cache = {name: given[name] for name in names}
 
-    @property
-    def grid(self):
-        f = self.omega if self.omega is not None else self.xi
-        return f.grid
+    def advanced(self, t, coeffs):
+        """The same model and run caches at time t with new coefficients."""
+        new = copy.copy(self)
+        new.t, new.coeffs, new._cache = t, tuple(coeffs), {}
+        return new
+
+    def _field(self, name):
+        names = FIELD_NAMES[self.kind]
+        if name not in names:
+            return None
+        if name not in self._cache:
+            hat = self.coeffs[names.index(name)]
+            self._cache[name] = ScalarField.from_hat(self.grid, hat)
+        return self._cache[name]
+
+    omega = property(lambda self: self._field("omega"))
+    rho = property(lambda self: self._field("rho"))
+    xi = property(lambda self: self._field("xi"))
+    eta = property(lambda self: self._field("eta"))
 
     def vorticity(self):
         if self.kind is ModelKind.MHD_ELSASSER:
-            return 0.5 * (self.xi + self.eta)
+            xi, eta = self.coeffs
+            return ScalarField.from_hat(self.grid, 0.5 * (xi + eta))
         return self.omega
 
     def current(self):
+        """Current J = Lap(rho) of the MHD models; None for the others."""
         if self.kind is ModelKind.MHD_ELSASSER:
-            return 0.5 * (self.xi - self.eta)
-        if self.rho is None:
-            return None
-        return laplacian(self.rho)
+            xi, eta = self.coeffs
+            return ScalarField.from_hat(self.grid, 0.5 * (xi - eta))
+        if self.kind is ModelKind.MHD_VORTICITY_CURRENT:
+            return laplacian(self.rho)
+        return None
 
     def density(self):
-        if self.kind is ModelKind.MHD_ELSASSER:
-            return invert_laplacian(self.current(), mean_tol=np.inf) + self.mass_mean
-        return self.rho
+        if self.kind is not ModelKind.MHD_ELSASSER:
+            return self.rho
+        g = self.grid
+        xi, eta = self.coeffs
+        hat = inverse_laplacian_hat(g, 0.5 * (xi - eta))
+        hat[0, 0] = self.mass_mean * g.nx * g.ny
+        return ScalarField.from_hat(g, hat)
 
     def magnetic_field(self):
         if self.kind not in MHD_KINDS:
@@ -120,30 +167,29 @@ class FluidState:
         return perp_gradient(self.density())
 
     def velocity(self):
-        """Recovered velocity, cached until the state changes."""
-        cached = self.aux.get("u_cache")
-        if cached is not None and cached[0] is self:
-            return cached[1]
+        """Recovered velocity (computed once per state)."""
+        if "velocity" not in self._cache:
+            self._cache["velocity"] = self._recover_velocity()
+        return self._cache["velocity"]
+
+    def _recover_velocity(self):
         if self.kind is ModelKind.IIE:
-            u, q, report = recover_velocity_detailed(
+            u, q, _ = recover_velocity_detailed(
                 self.rho, self.omega, tol=self.elliptic_tol,
                 q0=self.aux.get("q_prev"),
             )
             self.aux["q_prev"] = q
-            self.aux["elliptic_report"] = report
-        else:
-            u = biot_savart(self.vorticity())
-        self.aux["u_cache"] = (self, u)
-        return u
+            return u
+        return biot_savart(self.vorticity())
 
 
-@dataclass
-class Tendency:
-    domega: ScalarField | None = None
-    drho: ScalarField | None = None
-    dxi: ScalarField | None = None
-    deta: ScalarField | None = None
-    u: VectorField | None = None  # stage velocity, reused by flow-map advection
+def _q_hat(grid, omega_hat, current_hat):
+    psi = inverse_laplacian_hat(grid, omega_hat)
+    phi = inverse_laplacian_hat(grid, current_hat)
+    psi_xx, psi_yy, psi_xy, phi_xx, phi_yy, phi_xy = (
+        to_physical(grid, derivative_hat(grid, h, a, b))
+        for h in (psi, phi) for a, b in ((2, 0), (0, 2), (1, 1)))
+    return product_hat(grid, -2.0 * (psi_xy * (phi_yy - phi_xx) + phi_xy * (psi_xx - psi_yy)))
 
 
 def q_operator(omega, current):
@@ -154,18 +200,8 @@ def q_operator(omega, current):
     phi = Lap^{-1} J, which makes the (omega, J) system identical to the
     (omega, rho) one.  Vanishes when either argument is zero.
     """
-    same_grid(omega, current)
-    grid = omega.grid
-    psi = invert_laplacian(omega, mean_tol=np.inf)
-    phi = invert_laplacian(current, mean_tol=np.inf)
-    psi_xx = spectral_derivative(psi, (2, 0)).values
-    psi_yy = spectral_derivative(psi, (0, 2)).values
-    psi_xy = spectral_derivative(psi, (1, 1)).values
-    phi_xx = spectral_derivative(phi, (2, 0)).values
-    phi_yy = spectral_derivative(phi, (0, 2)).values
-    phi_xy = spectral_derivative(phi, (1, 1)).values
-    vals = -2.0 * (psi_xy * (phi_yy - phi_xx) + phi_xy * (psi_xx - psi_yy))
-    return dealias(ScalarField(grid, vals))
+    grid = same_grid(omega, current)
+    return ScalarField.from_hat(grid, _q_hat(grid, omega.hat, current.hat))
 
 
 def elsasser_transform(omega, current):
@@ -179,57 +215,42 @@ def elsasser_inverse(xi, eta):
     return 0.5 * (xi + eta), 0.5 * (xi - eta)
 
 
-def rhs(state):
-    """Model tendency at the state's time; all quadratic terms dealiased."""
-    kind = state.kind
+def _tendency(state):
+    """rfft2 coefficients of the model tendency, ordered like state.coeffs.
+
+    Every quadratic term is dealiased with the grid's 2/3 rule.
+    """
+    g = state.grid
     u = state.velocity()
+    u1, u2 = u.u.values, u.v.values
 
-    if kind is ModelKind.EULER:
-        tend = Tendency(domega=-advection(u, state.omega), u=u)
-
-    elif kind is ModelKind.BOUSSINESQ:
-        # {dE/drho, rho} with dE/drho = -x2 reduces to the periodic d_x rho.
-        forcing = spectral_derivative(state.rho, (1, 0))
-        tend = Tendency(
-            domega=-advection(u, state.omega) + forcing,
-            drho=-advection(u, state.rho),
-            u=u,
-        )
-
-    elif kind is ModelKind.MHD_VORTICITY_CURRENT:
-        current = laplacian(state.rho)
-        tend = Tendency(
-            domega=-advection(u, state.omega) + poisson_bracket(state.rho, current),
-            drho=-advection(u, state.rho),
-            u=u,
-        )
-
-    elif kind is ModelKind.MHD_ELSASSER:
-        omega, current = elsasser_inverse(state.xi, state.eta)
+    if state.kind is ModelKind.MHD_ELSASSER:
+        xi, eta = state.coeffs
         b = state.magnetic_field()
-        coupling = q_operator(omega, current)
-        tend = Tendency(
-            dxi=-advection(u - b, state.xi) + coupling,
-            deta=-advection(u + b, state.eta) - coupling,
-            u=u,
-        )
+        b1, b2 = b.u.values, b.v.values
+        coupling = _q_hat(g, 0.5 * (xi + eta), 0.5 * (xi - eta))
+        return (-advection_hat(g, u1 - b1, u2 - b2, xi) + coupling,
+                -advection_hat(g, u1 + b1, u2 + b2, eta) - coupling)
 
-    elif kind is ModelKind.IIE:
-        kin = dealias(ScalarField(
-            state.grid, 0.5 * (u.u.values**2 + u.v.values**2)))
-        tend = Tendency(
-            domega=-advection(u, state.omega) + poisson_bracket(kin, state.rho),
-            drho=-advection(u, state.rho),
-            u=u,
-        )
-    else:
-        raise ParameterError(f"unhandled model {kind}")
+    omega = state.coeffs[0]
+    domega = -advection_hat(g, u1, u2, omega)
+    if state.kind is ModelKind.EULER:
+        return (domega,)
+    rho = state.coeffs[1]
+    if state.kind is ModelKind.BOUSSINESQ:
+        # {dE/drho, rho} with dE/drho = -x2 reduces to the periodic d_x rho.
+        domega = domega + derivative_hat(g, rho, 1, 0)
+    elif state.kind is ModelKind.MHD_VORTICITY_CURRENT:
+        domega = domega + bracket_hat(g, rho, -g.K2 * rho)
+    else:  # IIE: dE/drho = |u|^2 / 2
+        domega = domega + bracket_hat(g, product_hat(g, 0.5 * (u1**2 + u2**2)), rho)
+    return domega, -advection_hat(g, u1, u2, rho)
 
-    for name in ("domega", "drho", "dxi", "deta"):
-        f = getattr(tend, name)
-        if f is not None and not f.is_finite():
-            raise InstabilityError(f"non-finite tendency in {name} at t = {state.t}")
-    return tend
+
+def rhs(state):
+    """Model tendency at the state's time, as ScalarFields ordered like
+    FIELD_NAMES[state.kind]; all quadratic terms dealiased."""
+    return tuple(ScalarField.from_hat(state.grid, d) for d in _tendency(state))
 
 
 def mhd_vorticity_current_tendencies(omega, rho):
@@ -243,27 +264,6 @@ def mhd_vorticity_current_tendencies(omega, rho):
     domega = -advection(u, omega) + poisson_bracket(rho, current)
     dj = -advection(u, current) + poisson_bracket(rho, omega) + q_operator(omega, current)
     return domega, dj
-
-
-def _apply(state, tend, coeff, new_t):
-    """state + coeff * tendency at time new_t (shares the aux cache)."""
-    def bump(f, df):
-        if f is None:
-            return None
-        return ScalarField(f.grid, f.values + coeff * df.values)
-
-    return FluidState(
-        kind=state.kind,
-        t=new_t,
-        omega=bump(state.omega, tend.domega) if state.omega is not None else None,
-        rho=bump(state.rho, tend.drho) if state.rho is not None and tend.drho is not None
-        else state.rho,
-        xi=bump(state.xi, tend.dxi) if state.xi is not None else None,
-        eta=bump(state.eta, tend.deta) if state.eta is not None else None,
-        mass_mean=state.mass_mean,
-        elliptic_tol=state.elliptic_tol,
-        aux=state.aux,
-    )
 
 
 def cfl_limit(state, cfl_number=0.5, eps=1e-12):
@@ -282,53 +282,36 @@ def cfl_limit(state, cfl_number=0.5, eps=1e-12):
 
 
 def step_detailed(state, dt, check_cfl=True, cfl_number=0.5):
-    """One classical RK4 step; returns (new_state, stage (time, velocity) list)."""
+    """One classical RK4 step; returns (new_state, the four stage velocities
+    in stage order)."""
     if check_cfl and dt > cfl_limit(state, cfl_number) * (1.0 + 1e-9):
         raise ParameterError(
             f"dt = {dt:.3e} exceeds the CFL limit {cfl_limit(state, cfl_number):.3e}"
         )
-    t = state.t
+    t, y = state.t, state.coeffs
     stages = []
 
-    def stage_rhs(s, idx):
-        try:
-            tend = rhs(s)
-        except (InstabilityError, InvalidFieldError) as exc:
-            raise InstabilityError(f"RK4 stage {idx}: {exc}") from exc
-        stages.append((s.t, tend.u))
-        return tend
+    def stage(s, idx):
+        k = _tendency(s)
+        for name, d in zip(FIELD_NAMES[s.kind], k):
+            if not np.all(np.isfinite(d)):
+                raise InstabilityError(
+                    f"RK4 stage {idx}: non-finite tendency in d{name} at t = {s.t}")
+        stages.append(s.velocity())
+        return k
 
-    k1 = stage_rhs(state, 1)
-    k2 = stage_rhs(_apply(state, k1, 0.5 * dt, t + 0.5 * dt), 2)
-    k3 = stage_rhs(_apply(state, k2, 0.5 * dt, t + 0.5 * dt), 3)
-    k4 = stage_rhs(_apply(state, k3, dt, t + dt), 4)
+    def shifted(c, k):
+        return [yi + c * ki for yi, ki in zip(y, k)]
 
-    def combine(f, d1, d2, d3, d4):
-        if f is None:
-            return None
-        vals = f.values + (dt / 6.0) * (
-            d1.values + 2.0 * d2.values + 2.0 * d3.values + d4.values
-        )
-        if not np.all(np.isfinite(vals)):
-            raise InstabilityError(f"non-finite state after RK4 step at t = {t}")
-        return ScalarField(f.grid, vals)
-
-    new = FluidState(
-        kind=state.kind,
-        t=t + dt,
-        omega=combine(state.omega, *(k.domega for k in (k1, k2, k3, k4)))
-        if state.omega is not None else None,
-        rho=combine(state.rho, *(k.drho for k in (k1, k2, k3, k4)))
-        if state.rho is not None and k1.drho is not None else state.rho,
-        xi=combine(state.xi, *(k.dxi for k in (k1, k2, k3, k4)))
-        if state.xi is not None else None,
-        eta=combine(state.eta, *(k.deta for k in (k1, k2, k3, k4)))
-        if state.eta is not None else None,
-        mass_mean=state.mass_mean,
-        elliptic_tol=state.elliptic_tol,
-        aux=state.aux,
-    )
-    return new, stages
+    k1 = stage(state, 1)
+    k2 = stage(state.advanced(t + 0.5 * dt, shifted(0.5 * dt, k1)), 2)
+    k3 = stage(state.advanced(t + 0.5 * dt, shifted(0.5 * dt, k2)), 3)
+    k4 = stage(state.advanced(t + dt, shifted(dt, k3)), 4)
+    new = [yi + (dt / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+           for yi, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4)]
+    if not all(np.all(np.isfinite(c)) for c in new):
+        raise InstabilityError(f"non-finite state after RK4 step at t = {t}")
+    return state.advanced(t + dt, new), stages
 
 
 def step(state, dt, check_cfl=True, cfl_number=0.5):

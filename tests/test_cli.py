@@ -74,6 +74,25 @@ def test_run_solver_failure_exit_5(tmp_path, capsys):
     assert len(lines) == 1  # header only: the first row needs the first solve
 
 
+def test_run_vacuum_initial_data_exit_5(tmp_path, capsys):
+    # delta = 50 drives the initial density to zero: the run ends before its
+    # first row, cleanly, with status 5.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "model = iie\nnx = 32\nny = 32\ndelta = 50\n"
+        "delta_norm = inv_rho_minus_1_W2p\nt_end = 0.05\ntrack_particles = false\n"
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 5
+    meta = json.loads((out / "run_meta.json").read_text())
+    assert meta["status"] == 5
+    assert meta["termination"].startswith("vacuum: ")
+    assert meta["config"]["delta"] == 50.0
+    assert meta["monitor"]["t_emp"] is None
+    lines = (out / "run.csv").read_text().strip().splitlines()
+    assert lines == [lines[0]] and lines[0].startswith("t,M,M_measured,")
+
+
 def test_run_and_sweep_roundtrip(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

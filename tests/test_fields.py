@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fluidspan.errors import ParameterError, SolvabilityError
 from fluidspan.fields import (
@@ -41,6 +43,43 @@ def random_smooth_field(grid, seed, kmax=5, amp=1.0, mean_zero=True):
     return ScalarField(grid, vals)
 
 
+# Deterministic property runs: the same examples on every run.
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=40, database=None)
+
+
+@st.composite
+def nyquist_fields(draw, grid):
+    """Band-limited field drawn from a few Fourier modes, always including
+    one on a Nyquist line (kx = nx/2 or ky = ny/2)."""
+    nyq_x, nyq_y = grid.nx // 2, grid.ny // 2
+    mode = st.tuples(st.integers(-nyq_x, nyq_x), st.integers(0, nyq_y),
+                     st.floats(-2.0, 2.0), st.floats(0.0, 2 * np.pi))
+    modes = draw(st.lists(mode, min_size=1, max_size=6))
+    kx, ky, x_line = draw(st.tuples(st.integers(-nyq_x, nyq_x), st.integers(0, nyq_y),
+                                    st.booleans()))
+    modes.append((nyq_x if x_line else kx, ky if x_line else nyq_y,
+                  draw(st.floats(0.5, 2.0)), draw(st.floats(0.0, 2 * np.pi))))
+    vals = np.zeros((grid.nx, grid.ny))
+    for kx, ky, amp, phase in modes:
+        vals += amp * np.cos(kx * grid.X + ky * grid.Y + phase)
+    return ScalarField(grid, vals)
+
+
+def curl_biot_savart_reference(f):
+    """curl(K f) by rfft2: f without its mean, where a Nyquist-line mode
+    keeps only the share (kx_d^2 + ky_d^2) / (kx^2 + ky^2) that the odd-order
+    derivatives (Nyquist wavenumber zeroed) can see."""
+    nx, ny = f.values.shape
+    kx = np.fft.fftfreq(nx, d=1.0 / nx)[:, None]
+    ky = np.fft.rfftfreq(ny, d=1.0 / ny)[None, :]
+    kx_d, ky_d = kx.copy(), ky.copy()
+    kx_d[nx // 2] = 0.0
+    ky_d[:, -1] = 0.0
+    k2 = kx**2 + ky**2
+    share = np.divide(kx_d**2 + ky_d**2, k2, out=np.zeros_like(k2), where=k2 > 0)
+    return np.fft.irfft2(share * np.fft.rfft2(f.values), s=(nx, ny))
+
+
 def test_roundtrip_physical_spectral(grid):
     f = random_smooth_field(grid, seed=0)
     back = ScalarField.from_hat(grid, f.hat)
@@ -75,6 +114,27 @@ def test_mixed_derivative_against_finite_differences():
     fd_x = (np.roll(vals, -1, axis=0) - np.roll(vals, 1, axis=0)) / (2 * g.dx)
     fd_xy = (np.roll(fd_x, -1, axis=1) - np.roll(fd_x, 1, axis=1)) / (2 * g.dy)
     assert np.max(np.abs(fxy.values - fd_xy)) < 5e-4  # FD truncation floor
+
+
+@PROPERTY
+@given(data=st.data())
+def test_derivative_matches_complex_power_formula(grid, data):
+    # Reference: the (i kx)^a (i ky)^b multiplier on full meshgrid planes,
+    # with the Nyquist mode zeroed in odd orders.
+    f = data.draw(nyquist_fields(grid))
+    kx = np.fft.fftfreq(grid.nx, d=1.0 / grid.nx)
+    ky = np.fft.rfftfreq(grid.ny, d=1.0 / grid.ny)
+    kx_d, ky_d = kx.copy(), ky.copy()
+    kx_d[grid.nx // 2] = 0.0
+    ky_d[-1] = 0.0
+    for order in range(1, 5):
+        for a in range(order + 1):
+            b = order - a
+            KX, KY = np.meshgrid(kx_d if a % 2 else kx, ky_d if b % 2 else ky, indexing="ij")
+            mult = (1j * KX) ** a * (1j * KY) ** b
+            ref = np.fft.irfft2(mult * np.fft.rfft2(f.values), s=(grid.nx, grid.ny))
+            got = spectral_derivative(f, (a, b)).values
+            assert np.max(np.abs(got - ref)) <= 1e-14 * max(np.max(np.abs(ref)), 1e-300)
 
 
 def test_derivative_rejects_bad_alpha(grid):
@@ -123,13 +183,19 @@ def test_biot_savart_product_mode(grid):
     assert np.max(np.abs(u.v.values - ex_v)) < 1e-12
 
 
-def test_biot_savart_divergence_free(grid):
-    for seed in range(4):
-        omega = random_smooth_field(grid, seed=seed)
+@PROPERTY
+@given(data=st.data())
+def test_biot_savart_divergence_free(grid, data):
+    omegas = [random_smooth_field(grid, seed=seed) for seed in range(4)]
+    omegas.append(data.draw(nyquist_fields(grid)))
+    for omega in omegas:
         omega = omega - omega.mean
         u = biot_savart(omega)
         div_inf = divergence(u).max_abs()
         assert div_inf <= 1e-10 * max(grad_u_inf_norm(u), 1e-30)
+        # curl(K omega) = omega off the Nyquist lines
+        target = curl_biot_savart_reference(omega)
+        assert np.max(np.abs(curl(u).values - target)) <= 1e-12 * max(omega.max_abs(), 1.0)
 
 
 def test_poisson_bracket_examples(grid):
@@ -147,13 +213,16 @@ def test_poisson_bracket_examples(grid):
     assert poisson_bracket(f, h).max_abs() < 1e-12
 
 
-def test_poisson_bracket_antisymmetry(grid):
-    f = random_smooth_field(grid, seed=5)
-    g = random_smooth_field(grid, seed=6)
-    scale = f.max_abs() * g.max_abs()
-    assert poisson_bracket(f, f).max_abs() <= 1e-12 * max(scale, 1.0)
-    anti = poisson_bracket(f, g) + poisson_bracket(g, f)
-    assert anti.max_abs() <= 1e-12 * max(scale, 1.0)
+@PROPERTY
+@given(data=st.data())
+def test_poisson_bracket_antisymmetry(grid, data):
+    pairs = [(random_smooth_field(grid, seed=5), random_smooth_field(grid, seed=6)),
+             (data.draw(nyquist_fields(grid)), data.draw(nyquist_fields(grid)))]
+    for f, g in pairs:
+        scale = f.max_abs() * g.max_abs()
+        assert poisson_bracket(f, f).max_abs() <= 1e-12 * max(scale, 1.0)
+        anti = poisson_bracket(f, g) + poisson_bracket(g, f)
+        assert anti.max_abs() <= 1e-12 * max(scale, 1.0)
 
 
 def test_bracket_with_constant_is_zero(grid):

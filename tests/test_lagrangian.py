@@ -266,3 +266,25 @@ def test_w1p_bound_margins_nonnegative_with_fit():
     margins = check_w1p_bounds(series, delta=0.1, c_fit=50.0)
     assert np.all(margins["omega"] >= 0)
     assert np.all(margins["rho"] >= 0)
+
+
+def test_flow_map_is_fourth_order_with_stage_velocities():
+    # Each RK4 stage of the flow map must read its own stage velocity: the
+    # observed temporal order of X and grad X against a fine reference is 4
+    # (it drops to 2 when stages 2 and 3 share one velocity).
+    grid = Grid(64)
+
+    def flow_map(dt, t_end=0.5):
+        state = initial_state(ModelKind.BOUSSINESQ, grid, delta=0.2)
+        ens = identity_ensemble(16)
+        for _ in range(round(t_end / dt)):
+            state, stages = step_detailed(state, dt, check_cfl=False)
+            ens = advect_flow_map(ens, StageVelocity(stages), dt)
+        return ens
+
+    ref = flow_map(1 / 256)
+    coarse, fine = flow_map(1 / 16), flow_map(1 / 32)
+    for part in ("x", "jac"):
+        err_coarse = np.max(np.abs(getattr(coarse, part) - getattr(ref, part)))
+        err_fine = np.max(np.abs(getattr(fine, part) - getattr(ref, part)))
+        assert np.log2(err_coarse / err_fine) >= 3.8
