@@ -31,9 +31,11 @@ from .fields import (
     ScalarField,
     VectorField,
     biot_savart,
+    derivative_hat,
     divergence,
     gradient,
     same_grid,
+    to_physical,
 )
 
 VACUUM_FLOOR = 1e-8
@@ -63,19 +65,18 @@ def _operators(grid, mu):
     Both vanish on the mean and on the Nyquist modes whose odd derivatives
     are zeroed, so the iteration never leaves the operator's range.
     """
-    shape = (grid.nx, grid.ny)
-    ikx, iky = 1j * grid.KXd, 1j * grid.KYd
     k2 = grid.KXd**2 + grid.KYd**2
     inv_k2 = np.divide(1.0, k2, out=np.zeros_like(k2), where=k2 > 0.0)
 
     def apply_a(x):
         hat = np.fft.rfft2(x)
-        fx = mu * np.fft.irfft2(ikx * hat, s=shape)
-        fy = mu * np.fft.irfft2(iky * hat, s=shape)
-        return -np.fft.irfft2(ikx * np.fft.rfft2(fx) + iky * np.fft.rfft2(fy), s=shape)
+        fx = mu * to_physical(grid, derivative_hat(grid, hat, 1, 0))
+        fy = mu * to_physical(grid, derivative_hat(grid, hat, 0, 1))
+        return -to_physical(grid, derivative_hat(grid, np.fft.rfft2(fx), 1, 0)
+                            + derivative_hat(grid, np.fft.rfft2(fy), 0, 1))
 
     def apply_prec(r):
-        return np.fft.irfft2(inv_k2 * np.fft.rfft2(r), s=shape)
+        return to_physical(grid, inv_k2 * np.fft.rfft2(r))
 
     return apply_a, apply_prec
 

@@ -357,12 +357,38 @@ def lp_norm(values, p, cell_area):
     return float((np.sum(np.abs(values) ** p) * cell_area) ** (1.0 / p))
 
 
-def _multi_indices(k):
-    out = []
-    for order in range(k + 1):
-        for a in range(order, -1, -1):
-            out.append((a, order - a))
+def derivative_orders(fields, k, reduce):
+    """[reduce(planes of order j) for j = 0..k] over the derivatives of ``fields``.
+
+    The planes of order j are a list over alpha = (j, 0), (j-1, 1), ...,
+    (0, j) of tuples holding d^alpha f for each f in ``fields``
+    (ScalarFields on one grid).  Order 0 is the fields' own samples; every
+    other plane is one inverse transform of :func:`derivative_hat`.  Each
+    order is reduced before the next is built, so only one order's planes
+    are held at a time.
+    """
+    grid = same_grid(*fields)
+    out = [reduce([tuple(f.values for f in fields)])]
+    for j in range(1, k + 1):
+        out.append(reduce([
+            tuple(to_physical(grid, derivative_hat(grid, f.hat, a, j - a)) for f in fields)
+            for a in range(j, -1, -1)
+        ]))
     return out
+
+
+def lp_terms(planes, p, cell_area):
+    """||d^alpha f||_p for each alpha of one order's planes; the components
+    of a vector field enter through their pointwise Euclidean magnitude."""
+    return [lp_norm(c[0] if len(c) == 1 else np.sqrt(sum(x**2 for x in c)), p, cell_area)
+            for c in planes]
+
+
+def sobolev_terms(fields, k, p):
+    """Per order j = 0..k, the list of ||d^alpha f||_p over |alpha| = j, from
+    one derivative table of ``fields`` (see :func:`lp_terms`)."""
+    area = fields[0].grid.cell_area
+    return derivative_orders(fields, k, lambda planes: lp_terms(planes, p, area))
 
 
 def sobolev_norm(f, k, p):
@@ -373,30 +399,9 @@ def sobolev_norm(f, k, p):
     """
     if not (p > 2):
         raise ParameterError(f"Sobolev norms are only defined here for p > 2, got p = {p}")
-    if k < 0 or k > 3:
-        raise ParameterError(f"k must lie in 0..3, got {k}")
-    area = f.grid.cell_area
-    total = 0.0
-    for alpha in _multi_indices(k):
-        df = f if alpha == (0, 0) else spectral_derivative(f, alpha)
-        total += lp_norm(df.values, p, area)
-    return total
-
-
-def vector_sobolev_norm(w, k, p):
-    """W^{k,p} norm of a vector field with pointwise Euclidean magnitude."""
-    if not (p > 2):
-        raise ParameterError(f"Sobolev norms are only defined here for p > 2, got p = {p}")
-    area = w.grid.cell_area
-    total = 0.0
-    for alpha in _multi_indices(k):
-        if alpha == (0, 0):
-            du, dv = w.u.values, w.v.values
-        else:
-            du = spectral_derivative(w.u, alpha).values
-            dv = spectral_derivative(w.v, alpha).values
-        total += lp_norm(np.sqrt(du**2 + dv**2), p, area)
-    return total
+    if k < 0 or k > 4:
+        raise ParameterError(f"k must lie in 0..4, got {k}")
+    return sum(t for terms in sobolev_terms((f,), k, p) for t in terms)
 
 
 def operator_norm_2x2(a11, a12, a21, a22):
@@ -407,57 +412,41 @@ def operator_norm_2x2(a11, a12, a21, a22):
     return np.sqrt(0.5 * (s + np.sqrt(disc)))
 
 
-def velocity_gradient(w):
-    """Components of grad u as arrays: (du1/dx, du1/dy, du2/dx, du2/dy)."""
-    return (
-        spectral_derivative(w.u, (1, 0)).values,
-        spectral_derivative(w.u, (0, 1)).values,
-        spectral_derivative(w.v, (1, 0)).values,
-        spectral_derivative(w.v, (0, 1)).values,
-    )
+def grad_layers(planes):
+    """Pointwise operator norms of d^beta grad u, |beta| = j - 1, from the
+    order-j planes of u = (u1, u2), in the order of beta = (j-1, 0), ...
+
+    grad u is the matrix (d_x u1, d_y u1; d_x u2, d_y u2), so d^beta grad u
+    takes the planes of beta + (1, 0) and beta + (0, 1), which are
+    neighbours in the order's list.
+    """
+    return [operator_norm_2x2(lo[0], hi[0], lo[1], hi[1])
+            for lo, hi in zip(planes[:-1], planes[1:])]
 
 
 def grad_u_inf_norm(w):
     """Grid supremum of the pointwise operator norm of grad u."""
-    a, b, c, d = velocity_gradient(w)
-    return float(np.max(operator_norm_2x2(a, b, c, d)))
+    _, (layer,) = derivative_orders((w.u, w.v), 1, grad_layers)
+    return float(np.max(layer))
 
 
-def grad_u_w1p_norm(w, p):
-    """W^{1,p} norm of grad u: ||grad u||_p plus both derivative layers.
-
-    Pointwise matrix magnitude is the 2x2 operator norm, matching the
-    convention used for the flow-map Jacobian.
-    """
-    if not (p > 2):
-        raise ParameterError(f"p > 2 required, got {p}")
-    area = w.grid.cell_area
-    a, b, c, d = velocity_gradient(w)
-    total = lp_norm(operator_norm_2x2(a, b, c, d), p, area)
-    for alpha in ((1, 0), (0, 1)):
-        comps = [
-            spectral_derivative(spectral_derivative(w.u, (1, 0)), alpha).values,
-            spectral_derivative(spectral_derivative(w.u, (0, 1)), alpha).values,
-            spectral_derivative(spectral_derivative(w.v, (1, 0)), alpha).values,
-            spectral_derivative(spectral_derivative(w.v, (0, 1)), alpha).values,
-        ]
-        total += lp_norm(operator_norm_2x2(*comps), p, area)
-    return total
+def kato_quotient(grad_u_inf, omega_inf, omega_w1p):
+    """||grad u||_inf / [(1 + log(2 + ||omega||_{1,p})) ||omega||_inf] from the
+    three norms: the log-Sobolev ratio of the conditional Beale-Kato-Majda
+    bound (0 for a quiescent state)."""
+    denom = (1.0 + np.log(2.0 + omega_w1p)) * omega_inf
+    if denom == 0.0:
+        return 0.0 if grad_u_inf == 0.0 else np.inf
+    return grad_u_inf / denom
 
 
 def kato_ratio(w, omega, p):
-    """Ratio ||grad u||_inf / [(1 + log(2 + ||omega||_{1,p})) ||omega||_inf].
+    """:func:`kato_quotient` of the velocity w and its vorticity omega.
 
     Finite for every smooth field; the verification suite records its
     supremum over all exercised fields.
     """
-    num = grad_u_inf_norm(w)
-    om_inf = omega.max_abs()
-    om_w1p = sobolev_norm(omega, 1, p)
-    denom = (1.0 + np.log(2.0 + om_w1p)) * om_inf
-    if denom == 0.0:
-        return 0.0 if num == 0.0 else np.inf
-    return num / denom
+    return kato_quotient(grad_u_inf_norm(w), omega.max_abs(), sobolev_norm(omega, 1, p))
 
 
 def tail_enstrophy_fraction(omega, band=0.125):

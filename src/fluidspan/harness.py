@@ -32,7 +32,7 @@ from .errors import (
     InstabilityError,
     VacuumError,
 )
-from .fields import Grid, tail_enstrophy_fraction
+from .fields import Grid, sobolev_norm, tail_enstrophy_fraction
 from .lagrangian import (
     DuhamelHistory,
     StageVelocity,
@@ -48,7 +48,6 @@ from .models import (
     conserved_quantities,
     initial_state,
     step_detailed,
-    w4p_norm,
 )
 
 RUN_CSV_HEADER = ("t,M,M_measured,N,Q,Y,Z,omega_inf,omega_w1p,rho_w2p,"
@@ -101,6 +100,9 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
         if self.nx < 8 or self.ny < 8 or self.nx % 2 or self.ny % 2:
             raise ConfigError(f"grid {self.nx}x{self.ny} must be even and >= 8")
+        for name in ("delta", "t_end", "dt_max", "cfl", "c_m", "c_n", "c_fit"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.delta < 0:
             raise ConfigError("delta must be nonnegative")
         if self.t_end < 0:
@@ -283,7 +285,7 @@ def run(config, csv_stream=None):
                               elliptic_tol=config.elliptic_tol)
         if kind in MHD_KINDS:
             # the MHD theory works under ||rho0||_{4,p} <= 100; recorded, not enforced
-            initial_checks["rho0_w4p"] = w4p_norm(state.density(), p=config.p)
+            initial_checks["rho0_w4p"] = sobolev_norm(state.density(), 4, config.p)
             initial_checks["rho0_w4p_within_100"] = initial_checks["rho0_w4p"] <= 100.0
         emit(state)
         while state.t < config.t_end - 1e-14:

@@ -29,17 +29,16 @@ from .errors import ChordArcError, InstabilityError, ReconstructionError
 from .fields import (
     ScalarField,
     VectorField,
-    grad_u_inf_norm,
-    grad_u_w1p_norm,
+    derivative_orders,
+    grad_layers,
     gradient,
-    kato_ratio,
-    laplacian,
+    kato_quotient,
     lp_norm,
+    lp_terms,
     operator_norm_2x2,
     sobolev_norm,
+    sobolev_terms,
     spectral_derivative,
-    vector_sobolev_norm,
-    velocity_gradient,
     TWO_PI,
 )
 from .models import MHD_KINDS, ModelKind
@@ -86,8 +85,8 @@ class FrozenFieldVelocity:
         self.grid = w.grid
         self._u = PeriodicInterpolator(w.u)
         self._v = PeriodicInterpolator(w.v)
-        comps = velocity_gradient(w)
-        self._grad = [PeriodicInterpolator(c, grid=w.grid) for c in comps]
+        _, ((a, c), (b, d)) = derivative_orders((w.u, w.v), 1, lambda planes: planes)
+        self._grad = [PeriodicInterpolator(g, grid=w.grid) for g in (a, b, c, d)]
 
     def velocity_at(self, t, points, stage):
         return np.stack([self._u(points), self._v(points)], axis=-1)
@@ -320,14 +319,37 @@ class StretchingSeries:
         return np.array(self.t)
 
 
-def compute_stretching(series, state, ens=None):
-    """Append one stretching row at the state's time (chord-arc checked)."""
+def _total(orders, k):
+    """W^{k,p} norm from the per-order L^p terms of fields.sobolev_terms."""
+    return sum(t for terms in orders[:k + 1] for t in terms)
+
+
+def record(series, state, ens=None):
+    """Append one diagnostics row at the state's time.
+
+    Each field is differentiated once (fields.derivative_orders) and every
+    norm of the row is read off those planes: u to order 2 gives
+    ||u||_{2,p}, ||grad u||_inf and ||grad u||_{1,p}; omega to order 1
+    gives ||omega||_{1,p} and, with ||omega||_inf, the Kato ratio; rho to
+    order 2 gives ||rho||_{2,p}; for MHD, B to order 2 gives ||B||_{2,p}
+    and xi, eta to order 2 give Y (orders <= 1) and Z (orders <= 2).  The
+    stretching columns are appended and chord-arc checked before the
+    memory columns are.
+    """
     if ens is not None and abs(ens.t - state.t) > 1e-12 * max(1.0, abs(state.t)):
         raise InstabilityError(
             f"ensemble time {ens.t} does not match state time {state.t}")
+    p, g = series.p, state.grid
+
+    def velocity_order(planes):
+        layers = grad_layers(planes)
+        sup = float(np.max(layers[0])) if len(planes) == 2 else None  # order 1: grad u
+        return (lp_terms(planes, p, g.cell_area), sup,
+                [lp_norm(layer, p, g.cell_area) for layer in layers])
+
     u = state.velocity()
-    g_m = grad_u_inf_norm(u)
-    g_n = grad_u_w1p_norm(u, series.p)
+    (u0, _, _), (u1, g_m, n1), (u2, _, n2) = derivative_orders((u.u, u.v), 2, velocity_order)
+    g_n = sum(n1 + n2)
 
     if series.t:
         dt = state.t - series.t[-1]
@@ -350,44 +372,38 @@ def compute_stretching(series, state, ens=None):
     series.m_measured.append(measured)
     series.detj_err.append(detj)
 
-    bound = math.exp(log_m) if log_m < 709.0 else math.inf
-    if series.c_m == 1.0 and measured > bound * (1.0 + series.chord_arc_tol):
+    m_now = math.exp(log_m) if log_m < 709.0 else math.inf
+    n_now = math.exp(log_n) if log_n < 709.0 else math.inf
+    if series.c_m == 1.0 and measured > m_now * (1.0 + series.chord_arc_tol):
         raise ChordArcError(
-            f"measured stretching {measured:.6f} exceeds M = {bound:.6f} "
+            f"measured stretching {measured:.6f} exceeds M = {m_now:.6f} "
             f"at t = {state.t}")
-    return series
 
-
-def compute_memory(series, state):
-    """Fill the model's memory quantities for the row compute_stretching added."""
     omega = state.vorticity()
-    u = state.velocity()
-    p = series.p
-    series.omega_inf.append(omega.max_abs())
-    series.omega_w1p.append(sobolev_norm(omega, 1, p))
+    omega_inf = omega.max_abs()
+    omega_w1p = sobolev_norm(omega, 1, p)
+    series.omega_inf.append(omega_inf)
+    series.omega_w1p.append(omega_w1p)
     series.u_inf.append(u.max_abs())
-    series.u_w2p.append(vector_sobolev_norm(u, 2, p))
-    series.kato.append(kato_ratio(u, omega, p))
+    series.u_w2p.append(sum(u0 + u1 + u2))
+    series.kato.append(kato_quotient(g_m, omega_inf, omega_w1p))
     rho = state.density()
     series.rho_w2p.append(sobolev_norm(rho, 2, p) if rho is not None else np.nan)
 
     kind = state.kind
-    m_now = math.exp(series.log_m[-1]) if series.log_m[-1] < 709.0 else math.inf
-    n_now = math.exp(series.log_n[-1]) if series.log_n[-1] < 709.0 else math.inf
-
     if kind in MHD_KINDS:
         b = state.magnetic_field()
-        b_norm = vector_sobolev_norm(b, 2, p)
+        b_norm = _total(sobolev_terms((b.u, b.v), 2, p), 2)
         series.b_w2p.append(b_norm)
         if kind is ModelKind.MHD_ELSASSER:
             xi, eta = state.xi, state.eta
         else:
-            current = laplacian(state.rho)
-            xi, eta = state.omega + current, state.omega - current
-        series.y.append(sobolev_norm(xi, 1, p) + sobolev_norm(eta, 1, p))
-        series.z.append(sobolev_norm(xi, 2, p) + sobolev_norm(eta, 2, p))
-        qdot = series.u_w2p[-1] * b_norm
-        _accumulate(series, "q", qdot)
+            j_hat = -g.K2 * state.coeffs[1]
+            xi, eta = (ScalarField.from_hat(g, omega.hat + s * j_hat) for s in (1.0, -1.0))
+        xi_terms, eta_terms = sobolev_terms((xi,), 2, p), sobolev_terms((eta,), 2, p)
+        series.y.append(_total(xi_terms, 1) + _total(eta_terms, 1))
+        series.z.append(_total(xi_terms, 2) + _total(eta_terms, 2))
+        _accumulate(series, "q", series.u_w2p[-1] * b_norm)
     else:
         series.b_w2p.append(np.nan)
         if kind is ModelKind.BOUSSINESQ:
@@ -395,7 +411,6 @@ def compute_memory(series, state):
             _accumulate(series, "z", m_now)
             series.q.append(np.nan)
         elif kind is ModelKind.IIE:
-            g_m, g_n = series.grad_u_inf[-1], series.grad_u_w1p[-1]
             qdot = (series.c_m * g_m * (m_now + n_now) * series.u_inf[-1]
                     + series.c_m * series.c_n * g_m * g_n * m_now**2)
             _accumulate(series, "q", qdot)
@@ -419,12 +434,6 @@ def _accumulate(series, name, integrand_now):
         target.append(target[-1] + 0.5 * dt * (prev + integrand_now))
     series._integrands[name] = integrand_now
 
-
-def record(series, state, ens=None):
-    """compute_stretching followed by compute_memory (one full row)."""
-    compute_stretching(series, state, ens)
-    compute_memory(series, state)
-    return series
 
 
 # ---------------------------------------------------------------------------
@@ -526,11 +535,10 @@ def check_transport_lemma(ens, f, p):
     nonnegative up to interpolation error.
     """
     grid = f.grid
-    gx = PeriodicInterpolator(spectral_derivative(f, (1, 0)))
-    gy = PeriodicInterpolator(spectral_derivative(f, (0, 1)))
+    _, ((fx,), (fy,)) = derivative_orders((f,), 1, lambda planes: planes)
     pos = np.mod(ens.x, TWO_PI)
-    f1 = gx(pos)
-    f2 = gy(pos)
+    f1 = PeriodicInterpolator(fx, grid=grid)(pos)
+    f2 = PeriodicInterpolator(fy, grid=grid)(pos)
     g = ens.jac
     w1 = g[..., 0, 0] * f1 + g[..., 1, 0] * f2
     w2 = g[..., 0, 1] * f1 + g[..., 1, 1] * f2
@@ -539,8 +547,7 @@ def check_transport_lemma(ens, f, p):
     m = ens.m
     label_area = (TWO_PI / m) ** 2
     sup_jac = jacobian_norms(ens)[0]
-    grad_f = np.hypot(spectral_derivative(f, (1, 0)).values,
-                      spectral_derivative(f, (0, 1)).values)
+    grad_f = np.hypot(fx, fy)
     out = {}
     for r in (p, np.inf):
         lhs = lp_norm(mags, r, label_area)

@@ -38,6 +38,7 @@ from .elliptic import recover_velocity_detailed
 from .errors import InstabilityError, ParameterError, VacuumError
 from .fields import (
     ScalarField,
+    VectorField,
     advection,
     advection_hat,
     biot_savart,
@@ -47,12 +48,10 @@ from .fields import (
     invert_laplacian,
     laplacian,
     lp_norm,
-    perp_gradient,
     poisson_bracket,
     product_hat,
     same_grid,
     sobolev_norm,
-    spectral_derivative,
     to_physical,
 )
 
@@ -152,19 +151,29 @@ class FluidState:
             return laplacian(self.rho)
         return None
 
-    def density(self):
+    def _density_hat(self):
         if self.kind is not ModelKind.MHD_ELSASSER:
-            return self.rho
+            return self.coeffs[1]
         g = self.grid
         xi, eta = self.coeffs
         hat = inverse_laplacian_hat(g, 0.5 * (xi - eta))
         hat[0, 0] = self.mass_mean * g.nx * g.ny
-        return ScalarField.from_hat(g, hat)
+        return hat
+
+    def density(self):
+        if self.kind is not ModelKind.MHD_ELSASSER:
+            return self.rho
+        return ScalarField.from_hat(self.grid, self._density_hat())
 
     def magnetic_field(self):
+        """B = grad^perp rho of the MHD models, built from the coefficients
+        (two inverse transforms); None for the others."""
         if self.kind not in MHD_KINDS:
             return None
-        return perp_gradient(self.density())
+        g = self.grid
+        rho = self._density_hat()
+        return VectorField(ScalarField.from_hat(g, -derivative_hat(g, rho, 0, 1)),
+                           ScalarField.from_hat(g, derivative_hat(g, rho, 1, 0)))
 
     def velocity(self):
         """Recovered velocity (computed once per state)."""
@@ -434,17 +443,6 @@ def initial_state(kind, grid, delta=0.0, delta_norm="rho_minus_1_W2p", p=4,
                           mass_mean=rho.mean, elliptic_tol=elliptic_tol)
     return FluidState(kind=kind, t=0.0, omega=omega, rho=rho,
                       mass_mean=rho.mean, elliptic_tol=elliptic_tol)
-
-
-def w4p_norm(f, p=4):
-    """Full W^{4,p} norm (the MHD well-posedness class of the potential)."""
-    total = 0.0
-    for order in range(5):
-        for a in range(order, -1, -1):
-            alpha = (a, order - a)
-            df = f if alpha == (0, 0) else spectral_derivative(f, alpha)
-            total += lp_norm(df.values, p, f.grid.cell_area)
-    return total
 
 
 def to_elsasser(state):

@@ -54,6 +54,15 @@ def test_run_invalid_config_exit_2(tmp_path, capsys):
         cfg3.write_text(f"model = iie\nelliptic_tol = {tol}\n")
         assert main(["run", "--config", str(cfg3)]) == 2
 
+    # non-finite numbers fail at parse time, before any step is taken
+    for key in ("delta", "t_end", "dt_max", "cfl", "c_m", "c_n", "c_fit"):
+        for bad in ("nan", "inf", "-inf"):
+            cfg4 = tmp_path / "bad4.cfg"
+            cfg4.write_text(f"model = boussinesq\nnx = 16\nny = 16\n{key} = {bad}\n")
+            out = tmp_path / "o4"
+            assert main(["run", "--config", str(cfg4), "--out", str(out)]) == 2, (key, bad)
+            assert not (out / "run.csv").exists()
+
 
 def test_run_solver_failure_exit_5(tmp_path, capsys):
     # A tolerance below round-off cannot be met: the solve stops at its best

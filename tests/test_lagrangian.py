@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from fluidspan.fields import Grid, ScalarField, biot_savart, lp_norm
+from fluidspan.fields import (
+    Grid,
+    ScalarField,
+    biot_savart,
+    lp_norm,
+    operator_norm_2x2,
+    spectral_derivative,
+)
 from fluidspan.lagrangian import (
     AnalyticVelocity,
     DuhamelHistory,
@@ -13,8 +20,6 @@ from fluidspan.lagrangian import (
     back_to_label_residual,
     check_transport_lemma,
     check_w1p_bounds,
-    compute_memory,
-    compute_stretching,
     duhamel_vorticity,
     identity_ensemble,
     jacobian_norms,
@@ -167,6 +172,65 @@ def test_euler_eigenstate_exponential_m():
         record(series, state)
     slopes = np.diff(np.log(series.M())) / np.diff(series.times())
     assert np.max(np.abs(slopes - g0)) < 1e-6
+
+
+def _w_kp(components, k, p):
+    """sum over |alpha| <= k of || |d^alpha f| ||_p, |.| Euclidean over the
+    components, each derivative taken directly by spectral_derivative."""
+    area = components[0].grid.cell_area
+    total = 0.0
+    for order in range(k + 1):
+        for a in range(order, -1, -1):
+            planes = [spectral_derivative(f, (a, order - a)).values for f in components]
+            total += lp_norm(np.sqrt(sum(x**2 for x in planes)), p, area)
+    return total
+
+
+@pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
+def test_record_matches_norm_definitions(kind):
+    grid = Grid(32)
+    p = 4.0
+    delta_norm = ("rho_minus_1_W3p" if kind in (ModelKind.MHD_VORTICITY_CURRENT,
+                                                ModelKind.MHD_ELSASSER)
+                  else "rho_minus_1_W2p")
+    state, _ = step_detailed(initial_state(kind, grid, delta=0.05, delta_norm=delta_norm,
+                                           seed_profile="helical"), 0.02)
+    series = StretchingSeries(kind=kind, p=p)
+    record(series, state)
+
+    u = state.velocity()
+    d = {(i, a, b): spectral_derivative(c, (a, b)).values
+         for i, c in enumerate((u.u, u.v)) for a in range(3) for b in range(3 - a)}
+
+    def grad(s, t):  # d^(s, t) grad u as the four entries of a 2x2 matrix
+        return (d[0, s + 1, t], d[0, s, t + 1], d[1, s + 1, t], d[1, s, t + 1])
+
+    area = grid.cell_area
+    grad_u_inf = float(np.max(operator_norm_2x2(*grad(0, 0))))
+    grad_u_w1p = sum(lp_norm(operator_norm_2x2(*grad(s, t)), p, area)
+                     for s, t in ((0, 0), (1, 0), (0, 1)))
+    omega = state.vorticity()
+    omega_w1p = _w_kp([omega], 1, p)
+    expected = {
+        "grad_u_inf": grad_u_inf,
+        "grad_u_w1p": grad_u_w1p,
+        "omega_w1p": omega_w1p,
+        "u_w2p": _w_kp([u.u, u.v], 2, p),
+        "kato": grad_u_inf / ((1.0 + np.log(2.0 + omega_w1p)) * omega.max_abs()),
+    }
+    rho = state.density()
+    if kind is not ModelKind.EULER:
+        expected["rho_w2p"] = _w_kp([rho], 2, p)
+    if kind in (ModelKind.MHD_VORTICITY_CURRENT, ModelKind.MHD_ELSASSER):
+        b1 = -1.0 * spectral_derivative(rho, (0, 1))
+        b2 = spectral_derivative(rho, (1, 0))
+        expected["b_w2p"] = _w_kp([b1, b2], 2, p)
+        current = spectral_derivative(rho, (2, 0)) + spectral_derivative(rho, (0, 2))
+        xi, eta = omega + current, omega - current
+        expected["y"] = _w_kp([xi], 1, p) + _w_kp([eta], 1, p)
+        expected["z"] = _w_kp([xi], 2, p) + _w_kp([eta], 2, p)
+    for name, value in expected.items():
+        assert getattr(series, name)[0] == pytest.approx(value, rel=1e-12), name
 
 
 def test_memory_iie_zero_velocity():
