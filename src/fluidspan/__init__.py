@@ -19,7 +19,7 @@ from .bootstrap import (
     integrate_saturated_system,
     mhd_constants,
 )
-from .elliptic import EllipticSolveReport, recover_velocity_iie, solve_q
+from .elliptic import EllipticSolveReport, recover_velocity_detailed, solve_div_form
 from .fields import (
     Grid,
     ScalarField,
@@ -93,12 +93,12 @@ __all__ = [
     "mhd_constants",
     "perp_gradient",
     "poisson_bracket",
-    "recover_velocity_iie",
+    "recover_velocity_detailed",
     "rhs",
     "run",
     "run_to_directory",
     "sobolev_norm",
-    "solve_q",
+    "solve_div_form",
     "spectral_derivative",
     "step",
     "sweep",

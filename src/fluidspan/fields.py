@@ -220,10 +220,15 @@ def product_hat(grid, values):
 def derivative_hat(grid, hat, a, b):
     """Coefficients of d_x^a d_y^b f: hat times i^(a+b) kx^a ky^b.
 
-    Odd orders use the wavenumbers with the Nyquist mode zeroed.
+    Odd orders use the wavenumbers with the Nyquist mode zeroed.  A pure x
+    or y derivative multiplies by a column or a row, not a full plane.
     """
     kx = grid.KXd if a % 2 else grid.KX
     ky = grid.KYd if b % 2 else grid.KY
+    if b == 0:
+        return (_I_POWERS[a % 4] * kx**a) * hat
+    if a == 0:
+        return (_I_POWERS[b % 4] * ky**b) * hat
     return _I_POWERS[(a + b) % 4] * (kx**a * ky**b) * hat
 
 
@@ -449,6 +454,15 @@ def kato_ratio(w, omega, p):
     return kato_quotient(grad_u_inf_norm(w), omega.max_abs(), sobolev_norm(omega, 1, p))
 
 
+def half_plane_weights(grid):
+    """Multiplicity of each rfft2 coefficient in the full spectrum: 2 on the
+    interior ky columns, 1 on ky = 0 and on the Nyquist column (ny is even),
+    so sum(w |f_hat|^2) / (nx ny) = sum(f^2) by Parseval."""
+    w = np.full((grid.nx, grid.ny // 2 + 1), 2.0)
+    w[:, 0] = w[:, -1] = 1.0
+    return w
+
+
 def tail_enstrophy_fraction(omega, band=0.125):
     """Fraction of enstrophy carried by the top ``band`` of wavenumbers.
 
@@ -457,12 +471,7 @@ def tail_enstrophy_fraction(omega, band=0.125):
     """
     g = omega.grid
     hat = omega.hat
-    # rfft2 stores half the ky plane; weight interior ky modes twice.
-    w = np.full(hat.shape, 2.0)
-    w[:, 0] = 1.0
-    if g.ny % 2 == 0:
-        w[:, -1] = 1.0
-    power = w * np.abs(hat) ** 2
+    power = half_plane_weights(g) * np.abs(hat) ** 2
     kmax = min(g.nx, g.ny) / 2
     ring = np.maximum(np.abs(g.KX), np.abs(g.KY)) > (1.0 - band) * kmax
     total = float(np.sum(power))

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import __version__
 from .bootstrap import bootstrap_monitor, theory_window
+from .elliptic import METHOD
 from .errors import (
     ChordArcError,
     ConfigError,
@@ -206,6 +207,7 @@ class RunResult:
     kato_sup: float = 0.0
     c_fit: float = 0.0
     initial_checks: dict = field(default_factory=dict)
+    solver: dict | None = None  # run_meta.json's elliptic summary (IIE only)
 
     @property
     def final_time(self):
@@ -263,6 +265,7 @@ def run(config, csv_stream=None):
     termination = "completed"
     status = 0
     initial_checks = {}
+    reports = []  # every elliptic solve's report, through the states' shared aux
 
     def emit(state):
         record(series, state, ens)
@@ -283,6 +286,7 @@ def run(config, csv_stream=None):
                               delta_norm=config.delta_norm, p=config.p,
                               seed_profile=config.seed_profile,
                               elliptic_tol=config.elliptic_tol)
+        state.aux["reports"] = reports
         if kind in MHD_KINDS:
             # the MHD theory works under ||rho0||_{4,p} <= 100; recorded, not enforced
             initial_checks["rho0_w4p"] = sobolev_norm(state.density(), 4, config.p)
@@ -306,6 +310,7 @@ def run(config, csv_stream=None):
         status = 3
     except ConvergenceError as exc:
         termination = f"elliptic non-convergence: {exc}"
+        reports.append(exc.report)
         status = 5
     except VacuumError as exc:
         termination = f"vacuum: {exc}"
@@ -319,9 +324,16 @@ def run(config, csv_stream=None):
             t_res = row["t"]
             break
     kato_sup = max(series.kato) if series.kato else 0.0
+    solver = None
+    if kind is ModelKind.IIE:
+        solver = {"method": METHOD, "solves": len(reports),
+                  "iterations_total": sum(r.iterations for r in reports),
+                  "iterations_max": max((r.iterations for r in reports), default=0),
+                  "residual_max": max((r.residual for r in reports), default=0.0)}
     return RunResult(status=status, config=config, series=series, monitor=monitor,
                      termination=termination, rows=rows, t_resolution=t_res,
-                     kato_sup=kato_sup, c_fit=c_fit, initial_checks=initial_checks)
+                     kato_sup=kato_sup, c_fit=c_fit, initial_checks=initial_checks,
+                     solver=solver)
 
 
 def run_to_directory(config, out_dir=None):
@@ -343,6 +355,7 @@ def run_to_directory(config, out_dir=None):
         "kato_sup": result.kato_sup,
         "t_resolution": result.t_resolution,
         "initial_checks": result.initial_checks,
+        "solver": result.solver,
         "monitor": {
             "t_emp": None if math.isinf(result.monitor.t_emp) else result.monitor.t_emp,
             "unconditional": result.monitor.unconditional,

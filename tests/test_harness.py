@@ -84,6 +84,27 @@ def test_run_produces_meta_and_rows(tmp_path):
     assert row["cross_helicity"] == ""
 
 
+def test_run_meta_solver_summary(tmp_path):
+    # IIE: the run's elliptic solves, one per RK4 stage and one per new state
+    # the rows read, are summarised in run_meta.json; the CSV is unchanged.
+    cfg = small_config(model="iie", delta=0.05, t_end=0.04, dt_max=0.02,
+                       track_particles=False, output_dir=str(tmp_path / "iie"))
+    result = run_to_directory(cfg)
+    assert result.status == 0
+    assert len(result.rows) == 3  # initial row + 2 steps
+    solver = json.loads((tmp_path / "iie" / "run_meta.json").read_text())["solver"]
+    assert solver["method"] == "preconditioned_cg"
+    assert solver["solves"] >= 8
+    assert solver["solves"] <= solver["iterations_total"]
+    assert solver["iterations_max"] <= solver["iterations_total"]
+    assert solver["residual_max"] <= cfg.elliptic_tol
+    lines = (tmp_path / "iie" / "run.csv").read_text().splitlines()
+    assert lines[0] == RUN_CSV_HEADER
+    # no elliptic solve, no summary
+    run_to_directory(small_config(t_end=0.02, output_dir=str(tmp_path / "euler")))
+    assert json.loads((tmp_path / "euler" / "run_meta.json").read_text())["solver"] is None
+
+
 def test_determinism_byte_identical(tmp_path):
     cfg1 = small_config(model="boussinesq", delta=0.02, t_end=0.1,
                         output_dir=str(tmp_path / "a"))
