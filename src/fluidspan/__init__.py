@@ -31,7 +31,6 @@ from .fields import (
     gradient,
     invert_laplacian,
     laplacian,
-    perp_gradient,
     poisson_bracket,
     sobolev_norm,
     spectral_derivative,
@@ -91,7 +90,6 @@ __all__ = [
     "invert_laplacian",
     "laplacian",
     "mhd_constants",
-    "perp_gradient",
     "poisson_bracket",
     "recover_velocity_detailed",
     "rhs",

@@ -102,7 +102,6 @@ class LifespanBound:
     b: float
     c: float
     log_d: float
-    zeta: tuple = (1.0,)
 
     @property
     def log10_delta0(self):
@@ -116,10 +115,6 @@ class LifespanBound:
             raise ParameterError("delta must be positive")
         return self.time_of_log_delta(math.log(delta))
 
-    def log_budget(self, j, log_delta):
-        """log of the certified bound F_j <= zeta_j C0 / delta."""
-        return math.log(self.zeta[j]) + math.log(self.c0) - log_delta
-
 
 def closure_lifespan(spec):
     """Threshold and triple-log lifespan of the generic bootstrap closure.
@@ -131,12 +126,9 @@ def closure_lifespan(spec):
     worst = max(k * z for k, z in zip(spec.kappa, spec.zeta))
     c0 = 99.0 / (100.0 * worst)
     log_delta0 = math.fsum((math.log(c0), -spec.c1 * math.exp(2.0 * spec.c2)))
-    bound = LifespanBound(
-        c0=c0, log_delta0=log_delta0, provenance="generic_closure",
-        a=1.0 / spec.c3, b=1.0 / spec.c2, c=1.0 / spec.c1,
-        log_d=math.log(c0), zeta=tuple(spec.zeta),
-    )
-    return bound
+    return LifespanBound(c0=c0, log_delta0=log_delta0, provenance="generic_closure",
+                         a=1.0 / spec.c3, b=1.0 / spec.c2, c=1.0 / spec.c1,
+                         log_d=math.log(c0))
 
 
 def closure_log_envelope(spec, t):
@@ -261,10 +253,8 @@ def mhd_constants(c):
                           log_delta0=log_delta0, alpha_at_delta0=alpha0,
                           beta_at_delta0=beta0, gamma_at_delta0=gamma0,
                           log_f_at_delta0=log_f0)
-    bound = LifespanBound(
-        c0=c4p, log_delta0=log_delta0, provenance="mhd",
-        a=1.0 / c1, b=0.25, c=1.0 / c2, log_d=math.log(c4p), zeta=(1.0,),
-    )
+    bound = LifespanBound(c0=c4p, log_delta0=log_delta0, provenance="mhd",
+                          a=1.0 / c1, b=0.25, c=1.0 / c2, log_d=math.log(c4p))
     return consts, bound
 
 

@@ -22,6 +22,9 @@ from .errors import GridMismatchError, ParameterError, SolvabilityError
 
 TWO_PI = 2.0 * np.pi
 
+# Fraction of the Nyquist range kept by dealias (Orszag's 2/3 rule).
+DEALIAS_FRACTION = 2.0 / 3.0
+
 
 class Grid:
     """Uniform periodic grid on the 2pi x 2pi torus.
@@ -30,24 +33,17 @@ class Grid:
     ----------
     nx, ny : int
         Grid points per axis; must be even and >= 8.
-    dealias_fraction : float
-        Fraction of the Nyquist range kept by :func:`dealias` (default 2/3).
     """
 
-    def __init__(self, nx, ny=None, dealias_fraction=2.0 / 3.0):
+    def __init__(self, nx, ny=None):
         if ny is None:
             ny = nx
         if nx < 8 or ny < 8 or nx % 2 or ny % 2:
             raise ParameterError(f"grid must be even and >= 8, got {nx} x {ny}")
-        if not 0.0 < dealias_fraction <= 1.0:
-            raise ParameterError(f"dealias_fraction must lie in (0, 1], got {dealias_fraction}")
         self.nx = int(nx)
         self.ny = int(ny)
-        self.lx = TWO_PI
-        self.ly = TWO_PI
-        self.dealias_fraction = float(dealias_fraction)
-        self.dx = self.lx / self.nx
-        self.dy = self.ly / self.ny
+        self.dx = TWO_PI / self.nx
+        self.dy = TWO_PI / self.ny
         self.cell_area = self.dx * self.dy
 
         self.x = self.dx * np.arange(self.nx)
@@ -69,23 +65,18 @@ class Grid:
         self.KYd = self.KY.copy()
         self.KYd[:, -1] = 0.0
 
-        cut_x = self.dealias_fraction * (self.nx / 2)
-        cut_y = self.dealias_fraction * (self.ny / 2)
+        cut_x = DEALIAS_FRACTION * (self.nx / 2)
+        cut_y = DEALIAS_FRACTION * (self.ny / 2)
         self.dealias_keep = (np.abs(self.KX) <= cut_x) & (np.abs(self.KY) <= cut_y)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Grid)
-            and self.nx == other.nx
-            and self.ny == other.ny
-            and self.dealias_fraction == other.dealias_fraction
-        )
+        return isinstance(other, Grid) and self.nx == other.nx and self.ny == other.ny
 
     def __hash__(self):
-        return hash((self.nx, self.ny, self.dealias_fraction))
+        return hash((self.nx, self.ny))
 
     def __repr__(self):
-        return f"Grid({self.nx}x{self.ny}, dealias={self.dealias_fraction:.4f})"
+        return f"Grid({self.nx}x{self.ny})"
 
 
 class ScalarField:
@@ -283,11 +274,6 @@ def spectral_derivative(f, alpha):
 
 def gradient(f):
     return VectorField(spectral_derivative(f, (1, 0)), spectral_derivative(f, (0, 1)))
-
-
-def perp_gradient(f):
-    """Return grad^perp f = (-df/dy, df/dx)."""
-    return VectorField(-spectral_derivative(f, (0, 1)), spectral_derivative(f, (1, 0)))
 
 
 def divergence(w):

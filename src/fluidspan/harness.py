@@ -21,8 +21,6 @@ import os
 import time
 from dataclasses import asdict, dataclass, field, fields
 
-import numpy as np
-
 from . import __version__
 from .bootstrap import bootstrap_monitor, theory_window
 from .elliptic import METHOD
@@ -84,9 +82,6 @@ class RunConfig:
     particle_m: int = 64
     seed_profile: str = "default"
     output_dir: str = "runs/out"
-    emit_svg: bool = False
-    c_m: float = 1.0
-    c_n: float = 1.0
     elliptic_tol: float = 1e-10
     diag_every: int = 1
     track_particles: bool = True
@@ -101,7 +96,7 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
         if self.nx < 8 or self.ny < 8 or self.nx % 2 or self.ny % 2:
             raise ConfigError(f"grid {self.nx}x{self.ny} must be even and >= 8")
-        for name in ("delta", "t_end", "dt_max", "cfl", "c_m", "c_n", "c_fit"):
+        for name in ("delta", "t_end", "dt_max", "cfl", "c_fit"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.delta < 0:
@@ -121,7 +116,7 @@ class RunConfig:
         return self
 
 
-_BOOL_KEYS = {"emit_svg", "track_particles"}
+_BOOL_KEYS = {"track_particles"}
 
 
 def parse_config_file(path):
@@ -178,11 +173,18 @@ def config_hash(config):
 
 
 def thread_count():
-    raw = os.environ.get("FLUIDSPAN_THREADS", "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
+    """Worker cap from FLUIDSPAN_THREADS: a positive integer, 1 when unset or
+    empty; any other value is a ConfigError."""
+    raw = os.environ.get("FLUIDSPAN_THREADS", "").strip()
+    if not raw:
         return 1
+    try:
+        n = int(raw)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ConfigError(f"FLUIDSPAN_THREADS must be a positive integer, got {raw!r}")
+    return n
 
 
 def _fmt(x):
@@ -260,7 +262,7 @@ def run(config, csv_stream=None):
     kind = ModelKind.parse(config.model)
     grid = Grid(config.nx, config.ny)
     ens = identity_ensemble(config.particle_m) if config.track_particles else None
-    series = StretchingSeries(kind=kind, p=config.p, c_m=config.c_m, c_n=config.c_n)
+    series = StretchingSeries(kind=kind, p=config.p)
     rows = []
     termination = "completed"
     status = 0
@@ -337,7 +339,8 @@ def run(config, csv_stream=None):
 
 
 def run_to_directory(config, out_dir=None):
-    """run() with run.csv / run_meta.json (and optional SVG) persisted."""
+    """run() with run.csv / run_meta.json persisted."""
+    threads = thread_count()
     out_dir = out_dir or config.output_dir
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "run.csv")
@@ -348,7 +351,7 @@ def run_to_directory(config, out_dir=None):
         "config": asdict(config),
         "config_hash": config_hash(config),
         "version": __version__,
-        "threads": thread_count(),
+        "threads": threads,
         "termination": result.termination,
         "status": result.status,
         "c_fit": result.c_fit,
@@ -367,41 +370,7 @@ def run_to_directory(config, out_dir=None):
     with open(os.path.join(out_dir, "run_meta.json"), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    if config.emit_svg:
-        emit_svg_plots(result, out_dir)
     return result
-
-
-def emit_svg_plots(result, out_dir):
-    """Static post-hoc SVG time series from the recorded rows."""
-    try:
-        import matplotlib
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError:
-        return
-    s = result.series
-    t = s.times()
-    fig, axes = plt.subplots(1, 3, figsize=(12, 3.2))
-    axes[0].plot(t, s.log_m, label="log M")
-    axes[0].plot(t, s.log_n, label="log N")
-    if not all(math.isnan(v) for v in s.q):
-        axes[0].plot(t, np.log(np.maximum(s.q, 1e-16)), label="log Q")
-    axes[0].set_xlabel("t")
-    axes[0].legend(fontsize=8)
-    axes[0].set_title("stretching")
-    e_model = [row["E_model"] for row in result.rows]
-    axes[1].plot(t[:len(e_model)], e_model)
-    axes[1].set_title("model energy")
-    axes[1].set_xlabel("t")
-    for name, vals in result.monitor.margins.items():
-        axes[2].plot(t[:len(vals)], vals, label=name)
-    axes[2].axhline(1.0, color="k", lw=0.5)
-    axes[2].legend(fontsize=8)
-    axes[2].set_title("bootstrap margins")
-    fig.tight_layout()
-    fig.savefig(os.path.join(out_dir, "diagnostics.svg"))
-    plt.close(fig)
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +414,7 @@ def sweep(config, deltas, out_dir=None):
     sweep.csv.
     """
     deltas = validate_deltas(deltas)
+    threads = thread_count()
     out_dir = out_dir or config.output_dir
     os.makedirs(out_dir, exist_ok=True)
     jobs = []
@@ -454,7 +424,7 @@ def sweep(config, deltas, out_dir=None):
         jobs.append((cfg, os.path.join(out_dir, f"delta_{i:02d}")))
 
     rows = []
-    workers = min(thread_count(), len(jobs))
+    workers = min(threads, len(jobs))
     failure = None
     if workers == 1:
         for job in jobs:

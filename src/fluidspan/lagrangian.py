@@ -8,7 +8,7 @@ evaluated at particle positions with periodic bicubic interpolation
 
 On top of the ensemble this module tracks the stretching quantities
 
-    M = exp(C_M int ||grad u||_inf),   N = exp(C_N int ||grad u||_{1,p}),
+    M = exp(int ||grad u||_inf),   N = exp(int ||grad u||_{1,p}),
 
 their measured counterpart sup(|grad X|, |grad A|), the model-specific
 memory integrals Q / Y / Z, the Duhamel vorticity reconstruction, and
@@ -44,6 +44,9 @@ from .fields import (
 from .models import MHD_KINDS, ModelKind
 
 _SPLINE_ORDER = 3
+
+# Relative slack of the chord-arc check M_measured <= M.
+CHORD_ARC_TOL = 1e-3
 
 
 class PeriodicInterpolator:
@@ -281,15 +284,12 @@ class StretchingSeries:
 
     M and N accumulate trapezoidally in log space from the instantaneous
     integrands; Q, Y, Z follow each model's definition with Mdot, Ndot
-    taken from the analytic relations Mdot = C_M ||grad u||_inf M and
-    Ndot = C_N ||grad u||_{1,p} N (no finite differencing).
+    taken from the analytic relations Mdot = ||grad u||_inf M and
+    Ndot = ||grad u||_{1,p} N (no finite differencing).
     """
 
     kind: ModelKind
     p: float = 4.0
-    c_m: float = 1.0
-    c_n: float = 1.0
-    chord_arc_tol: float = 1e-3
     t: list = field(default_factory=list)
     log_m: list = field(default_factory=list)
     log_n: list = field(default_factory=list)
@@ -353,8 +353,8 @@ def record(series, state, ens=None):
 
     if series.t:
         dt = state.t - series.t[-1]
-        log_m = series.log_m[-1] + series.c_m * 0.5 * dt * (series.grad_u_inf[-1] + g_m)
-        log_n = series.log_n[-1] + series.c_n * 0.5 * dt * (series.grad_u_w1p[-1] + g_n)
+        log_m = series.log_m[-1] + 0.5 * dt * (series.grad_u_inf[-1] + g_m)
+        log_n = series.log_n[-1] + 0.5 * dt * (series.grad_u_w1p[-1] + g_n)
     else:
         log_m, log_n = 0.0, 0.0
 
@@ -374,7 +374,7 @@ def record(series, state, ens=None):
 
     m_now = math.exp(log_m) if log_m < 709.0 else math.inf
     n_now = math.exp(log_n) if log_n < 709.0 else math.inf
-    if series.c_m == 1.0 and measured > m_now * (1.0 + series.chord_arc_tol):
+    if measured > m_now * (1.0 + CHORD_ARC_TOL):
         raise ChordArcError(
             f"measured stretching {measured:.6f} exceeds M = {m_now:.6f} "
             f"at t = {state.t}")
@@ -411,8 +411,7 @@ def record(series, state, ens=None):
             _accumulate(series, "z", m_now)
             series.q.append(np.nan)
         elif kind is ModelKind.IIE:
-            qdot = (series.c_m * g_m * (m_now + n_now) * series.u_inf[-1]
-                    + series.c_m * series.c_n * g_m * g_n * m_now**2)
+            qdot = g_m * (m_now + n_now) * series.u_inf[-1] + g_m * g_n * m_now**2
             _accumulate(series, "q", qdot)
             series.y.append(np.nan)
             series.z.append(np.nan)

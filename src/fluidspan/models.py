@@ -39,7 +39,6 @@ from .errors import InstabilityError, ParameterError, VacuumError
 from .fields import (
     ScalarField,
     VectorField,
-    advection,
     advection_hat,
     biot_savart,
     bracket_hat,
@@ -48,7 +47,6 @@ from .fields import (
     invert_laplacian,
     laplacian,
     lp_norm,
-    poisson_bracket,
     product_hat,
     same_grid,
     sobolev_norm,
@@ -195,24 +193,16 @@ class FluidState:
 
 
 def _q_hat(grid, omega_hat, current_hat):
+    """Dealiased coefficients of the MHD coupling Q(omega, J) = -2 sum_{jk}
+    d_j u_k d_j d_k phi, u = K omega, phi = Lap^{-1} J: the commutator of the
+    Laplacian with transport, which makes the (omega, J) system identical to
+    the (omega, rho) one."""
     psi = inverse_laplacian_hat(grid, omega_hat)
     phi = inverse_laplacian_hat(grid, current_hat)
     psi_xx, psi_yy, psi_xy, phi_xx, phi_yy, phi_xy = (
         to_physical(grid, derivative_hat(grid, h, a, b))
         for h in (psi, phi) for a, b in ((2, 0), (0, 2), (1, 1)))
     return product_hat(grid, -2.0 * (psi_xy * (phi_yy - phi_xx) + phi_xy * (psi_xx - psi_yy)))
-
-
-def q_operator(omega, current):
-    """Zeroth-order bilinear coupling of the MHD vorticity-current system.
-
-    Derived from the commutator of the Laplacian with transport:
-    Q(omega, J) = -2 sum_{jk} d_j u_k d_j d_k phi with u = K omega and
-    phi = Lap^{-1} J, which makes the (omega, J) system identical to the
-    (omega, rho) one.  Vanishes when either argument is zero.
-    """
-    grid = same_grid(omega, current)
-    return ScalarField.from_hat(grid, _q_hat(grid, omega.hat, current.hat))
 
 
 def elsasser_transform(omega, current):
@@ -264,19 +254,6 @@ def rhs(state):
     return tuple(ScalarField.from_hat(state.grid, d) for d in _tendency(state))
 
 
-def mhd_vorticity_current_tendencies(omega, rho):
-    """Explicit (omega, J) tendencies of the symmetric MHD form.
-
-    Returns (domega, dJ) with dJ = -u.grad J + {rho, omega} + Q(omega, J);
-    exposed so the derived-J route Lap(drho) can be cross-checked against it.
-    """
-    u = biot_savart(omega)
-    current = laplacian(rho)
-    domega = -advection(u, omega) + poisson_bracket(rho, current)
-    dj = -advection(u, current) + poisson_bracket(rho, omega) + q_operator(omega, current)
-    return domega, dj
-
-
 def cfl_limit(state, cfl_number=0.5, eps=1e-12):
     """Largest stable step: cfl * dx / wave speed.
 
@@ -292,13 +269,11 @@ def cfl_limit(state, cfl_number=0.5, eps=1e-12):
     return cfl_number * dx / max(speed, eps)
 
 
-def step_detailed(state, dt, check_cfl=True, cfl_number=0.5):
+def step_detailed(state, dt, check_cfl=True):
     """One classical RK4 step; returns (new_state, the four stage velocities
     in stage order)."""
-    if check_cfl and dt > cfl_limit(state, cfl_number) * (1.0 + 1e-9):
-        raise ParameterError(
-            f"dt = {dt:.3e} exceeds the CFL limit {cfl_limit(state, cfl_number):.3e}"
-        )
+    if check_cfl and dt > cfl_limit(state) * (1.0 + 1e-9):
+        raise ParameterError(f"dt = {dt:.3e} exceeds the CFL limit {cfl_limit(state):.3e}")
     t, y = state.t, state.coeffs
     stages = []
 
@@ -325,9 +300,9 @@ def step_detailed(state, dt, check_cfl=True, cfl_number=0.5):
     return state.advanced(t + dt, new), stages
 
 
-def step(state, dt, check_cfl=True, cfl_number=0.5):
+def step(state, dt, check_cfl=True):
     """Advance the state by one RK4 step of size dt."""
-    new, _ = step_detailed(state, dt, check_cfl=check_cfl, cfl_number=cfl_number)
+    new, _ = step_detailed(state, dt, check_cfl=check_cfl)
     return new
 
 

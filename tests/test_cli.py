@@ -55,13 +55,40 @@ def test_run_invalid_config_exit_2(tmp_path, capsys):
         assert main(["run", "--config", str(cfg3)]) == 2
 
     # non-finite numbers fail at parse time, before any step is taken
-    for key in ("delta", "t_end", "dt_max", "cfl", "c_m", "c_n", "c_fit"):
+    for key in ("delta", "t_end", "dt_max", "cfl", "c_fit"):
         for bad in ("nan", "inf", "-inf"):
             cfg4 = tmp_path / "bad4.cfg"
             cfg4.write_text(f"model = boussinesq\nnx = 16\nny = 16\n{key} = {bad}\n")
             out = tmp_path / "o4"
             assert main(["run", "--config", str(cfg4), "--out", str(out)]) == 2, (key, bad)
             assert not (out / "run.csv").exists()
+
+
+def test_removed_keys_exit_2(tmp_path, capsys):
+    # emit_svg, c_m and c_n are not config keys: a config that sets one fails
+    # at parse time, before any file is written.
+    for line in ("emit_svg = true", "c_m = 1", "c_n = 1"):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(f"model = euler\nnx = 16\nny = 16\nt_end = 0.01\n{line}\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2, line
+        assert "unknown key" in capsys.readouterr().err
+        assert not (out / "run.csv").exists()
+
+
+@pytest.mark.parametrize("bad", ["abc", "0", "-3", "1.5"])
+def test_bad_thread_count_exit_2(tmp_path, monkeypatch, capsys, bad):
+    # FLUIDSPAN_THREADS is checked before run.csv is opened, so a bad value
+    # never leaves a run.csv without its run_meta.json.
+    monkeypatch.setenv("FLUIDSPAN_THREADS", bad)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model = euler\nnx = 16\nny = 16\nt_end = 0.01\n")
+    for cmd in (["run"], ["sweep", "--deltas", "0.1"]):
+        out = tmp_path / cmd[0]
+        assert main([*cmd, "--config", str(cfg), "--out", str(out)]) == 2, cmd
+        assert "FLUIDSPAN_THREADS" in capsys.readouterr().err
+        assert not any(out.rglob("run.csv"))
+        assert not (out / "sweep.csv").exists()
 
 
 def test_run_solver_failure_exit_5(tmp_path, capsys):

@@ -1,9 +1,12 @@
 import json
 import math
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fluidspan.errors import ConfigError
 from fluidspan.harness import (
@@ -16,6 +19,7 @@ from fluidspan.harness import (
     sweep,
     validate_deltas,
 )
+from fluidspan.models import DELTA_NORMS, PROFILES, ModelKind
 
 
 def small_config(**over):
@@ -34,13 +38,54 @@ def test_parse_config_file(tmp_path):
         "ny = 64\n"
         "delta = 0.05   # inline comment\n"
         "t_end = 0.5\n"
-        "emit_svg = false\n"
+        "track_particles = false\n"
     )
     cfg = parse_config_file(path)
     assert cfg.model == "boussinesq"
     assert cfg.nx == 64
     assert cfg.delta == 0.05
-    assert cfg.emit_svg is False
+    assert cfg.track_particles is False
+
+
+def _finite(lo, hi=1e6, **kw):
+    return st.floats(min_value=lo, max_value=hi, allow_nan=False, allow_infinity=False, **kw)
+
+
+# One strategy per RunConfig field, each drawing only valid values.
+CONFIG_FIELDS = {
+    "model": st.sampled_from([k.value for k in ModelKind]),
+    "nx": st.integers(4, 256).map(lambda k: 2 * k),
+    "ny": st.integers(4, 256).map(lambda k: 2 * k),
+    "p": _finite(2.0, exclude_min=True),
+    "delta": _finite(0.0),
+    "delta_norm": st.sampled_from(DELTA_NORMS),
+    "t_end": _finite(0.0),
+    "dt_max": _finite(0.0, exclude_min=True),
+    "cfl": _finite(0.0, exclude_min=True),
+    "particle_m": st.integers(4, 512),
+    "seed_profile": st.sampled_from(sorted(PROFILES)),
+    "output_dir": st.text("abcxyz0189_-./", min_size=1, max_size=20),
+    "elliptic_tol": _finite(0.0, 1.0, exclude_min=True, exclude_max=True),
+    "diag_every": st.integers(1, 1000),
+    "track_particles": st.booleans(),
+    "c_fit": _finite(0.0),
+}
+
+
+def test_config_fields_pinned():
+    assert [f.name for f in fields(RunConfig)] == list(CONFIG_FIELDS)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(st.fixed_dictionaries(CONFIG_FIELDS))
+def test_config_file_round_trip(tmp_path_factory, values):
+    # key = repr(value) for numbers and booleans; strings are written bare,
+    # as a config file holds them.
+    config = RunConfig(**values).validate()
+    path = tmp_path_factory.getbasetemp() / "round_trip.cfg"
+    path.write_text("".join(
+        f"{k} = {v if isinstance(v, str) else repr(v)}\n" for k, v in values.items()))
+    assert parse_config_file(path) == config
 
 
 def test_unknown_key_rejected(tmp_path):

@@ -13,6 +13,7 @@ from fluidspan.lagrangian import (
     AnalyticVelocity,
     DuhamelHistory,
     FrozenFieldVelocity,
+    PeriodicInterpolator,
     StageVelocity,
     StretchingSeries,
     advect_flow_map,
@@ -99,6 +100,20 @@ def test_interpolation_accuracy():
     pts = rng.uniform(0, 2 * np.pi, size=(500, 2))
     exact = np.sin(pts[:, 0]) * np.cos(2 * pts[:, 1])
     assert np.max(np.abs(interp(pts) - exact)) < 5e-5  # O(dx^4)
+
+
+def test_interpolation_is_fourth_order():
+    # Sup error at 2,000 random points on 32^2, 64^2 and 128^2: each grid
+    # halving cuts it by ~16 (README's O(dx^4) claim).
+    rng = np.random.default_rng(4)
+    pts = rng.uniform(0, 2 * np.pi, size=(2000, 2))
+    exact = np.sin(pts[:, 0]) * np.cos(2 * pts[:, 1])
+    errors = []
+    for n in (32, 64, 128):
+        f = ScalarField.from_function(Grid(n), lambda x, y: np.sin(x) * np.cos(2 * y))
+        errors.append(np.max(np.abs(PeriodicInterpolator(f)(pts) - exact)))
+    orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+    assert np.all(orders >= 3.8), (errors, orders)
 
 
 def test_back_to_label_consistency():
