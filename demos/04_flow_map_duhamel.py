@@ -11,11 +11,11 @@ import numpy as np
 
 from fluidspan.fields import Grid, lp_norm
 from fluidspan.lagrangian import (
-    AnalyticVelocity,
     DuhamelHistory,
     StageVelocity,
     StretchingSeries,
     advect_flow_map,
+    analytic_velocity,
     duhamel_vorticity,
     identity_ensemble,
     jacobian_norms,
@@ -24,10 +24,10 @@ from fluidspan.lagrangian import (
 from fluidspan.models import ModelKind, cfl_limit, initial_state, step_detailed
 
 # --- shear flow: closed-form map ------------------------------------------
-shear = AnalyticVelocity(
-    u_fn=lambda t, x, y: (np.sin(y), np.zeros_like(x)),
-    grad_fn=lambda t, x, y: (np.zeros_like(x), np.cos(y),
-                             np.zeros_like(x), np.zeros_like(x)))
+shear = analytic_velocity(
+    u_fn=lambda x, y: (np.sin(y), np.zeros_like(x)),
+    grad_fn=lambda x, y: (np.zeros_like(x), np.cos(y),
+                         np.zeros_like(x), np.zeros_like(x)))
 ens = identity_ensemble(48)
 for _ in range(50):
     ens = advect_flow_map(ens, shear, 0.02)

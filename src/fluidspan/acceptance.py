@@ -40,11 +40,11 @@ from .fields import (
 from .harness import RunConfig, sweep
 from .lagrangian import (
     CHORD_ARC_TOL,
-    AnalyticVelocity,
     DuhamelHistory,
     StageVelocity,
     StretchingSeries,
     advect_flow_map,
+    analytic_velocity,
     duhamel_vorticity,
     identity_ensemble,
     record,
@@ -223,10 +223,10 @@ def criterion_flow_map():
     values = {}
     # shear flow closed form
     ens = identity_ensemble(48)
-    shear = AnalyticVelocity(
-        u_fn=lambda t, x, y: (np.sin(y), np.zeros_like(x)),
-        grad_fn=lambda t, x, y: (np.zeros_like(x), np.cos(y),
-                                 np.zeros_like(x), np.zeros_like(x)))
+    shear = analytic_velocity(
+        u_fn=lambda x, y: (np.sin(y), np.zeros_like(x)),
+        grad_fn=lambda x, y: (np.zeros_like(x), np.cos(y),
+                             np.zeros_like(x), np.zeros_like(x)))
     dt = 0.02
     for _ in range(50):
         ens = advect_flow_map(ens, shear, dt)

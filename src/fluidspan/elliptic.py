@@ -33,9 +33,9 @@ from .errors import ConvergenceError, VacuumError
 from .fields import (
     ScalarField,
     VectorField,
+    _gradient_values,
     biot_savart,
     derivative_hat,
-    gradient,
     half_plane_weights,
     same_grid,
     to_physical,
@@ -141,14 +141,13 @@ def _pcg_solve(grid, mu, rhs, tol, max_iter=500, x0=None):
 
 def recover_velocity_detailed(rho, omega, tol=1e-10, q0=None):
     """Velocity from (omega, rho) by the modified Biot-Savart law, as
-    (u, q, report).
+    (u, q_hat, report) with q_hat the rfft2 coefficients of the potential.
 
     u satisfies div u = 0 to solver tolerance, curl(rho u) = omega, and
     mean(rho u) = 0 to round-off; it is the standard Biot-Savart velocity
     exactly when rho is identically 1 (q = 0, counted as one iteration).
-    q0 is the warm start, typically the previous solve's q, whose
-    coefficients are read directly.  A best residual above 10 * tol raises
-    ConvergenceError.
+    q0 is the warm start as coefficients, typically the previous solve's
+    q_hat.  A best residual above 10 * tol raises ConvergenceError.
     """
     grid = same_grid(rho, omega)
     mu = _inverse_density(rho)
@@ -157,8 +156,7 @@ def recover_velocity_detailed(rho, omega, tol=1e-10, q0=None):
     # -b = div((mu - 1) K omega), straight from the forward transforms
     rhs = (derivative_hat(grid, np.fft.rfft2(dmu * k_omega.u.values), 1, 0)
            + derivative_hat(grid, np.fft.rfft2(dmu * k_omega.v.values), 0, 1))
-    q_hat, iterations, residual = _pcg_solve(grid, mu, rhs, tol,
-                                             x0=None if q0 is None else q0.hat)
+    q_hat, iterations, residual = _pcg_solve(grid, mu, rhs, tol, x0=q0)
     report = EllipticSolveReport(iterations, residual, METHOD, float(np.max(np.abs(dmu))))
     if residual > 10 * tol:
         raise ConvergenceError(
@@ -166,13 +164,10 @@ def recover_velocity_detailed(rho, omega, tol=1e-10, q0=None):
             f"{residual:.3e} (tol {tol:.1e})",
             report,
         )
-    q = ScalarField.from_hat(grid, q_hat)
-    gq = gradient(q)
-    u = VectorField(
-        ScalarField(grid, mu * (k_omega.u.values + gq.u.values)),
-        ScalarField(grid, mu * (k_omega.v.values + gq.v.values)),
-    )
-    return u, q, report
+    qx, qy = _gradient_values(grid, q_hat)
+    u = VectorField(ScalarField(grid, mu * (k_omega.u.values + qx)),
+                    ScalarField(grid, mu * (k_omega.v.values + qy)))
+    return u, q_hat, report
 
 
 def solve_div_form(rho, f, tol=1e-12, max_iter=500):

@@ -33,15 +33,17 @@ from .errors import (
 )
 from .fields import Grid, sobolev_norm, tail_enstrophy_fraction
 from .lagrangian import (
-    DuhamelHistory,
     StageVelocity,
     StretchingSeries,
     advect_flow_map,
+    exp_or_inf,
     identity_ensemble,
     record,
 )
 from .models import (
+    DELTA_NORMS,
     MHD_KINDS,
+    PROFILES,
     ModelKind,
     cfl_limit,
     conserved_quantities,
@@ -113,6 +115,10 @@ class RunConfig:
             raise ConfigError("diag_every must be >= 1")
         if not 0.0 < self.elliptic_tol < 1.0:
             raise ConfigError(f"elliptic_tol must lie in (0, 1), got {self.elliptic_tol}")
+        for name, allowed in (("seed_profile", sorted(PROFILES)), ("delta_norm", DELTA_NORMS)):
+            if getattr(self, name) not in allowed:
+                raise ConfigError(f"unknown {name} '{getattr(self, name)}'; expected one of "
+                                  + ", ".join(allowed))
         return self
 
 
@@ -216,19 +222,15 @@ class RunResult:
         return self.series.t[-1] if self.series.t else 0.0
 
 
-def _safe_exp(x):
-    return math.exp(x) if x < 709.0 else math.inf
-
-
 def _diagnostics_row(state, series, config):
     cons = conserved_quantities(state, p=config.p)
     i = len(series.t) - 1
     omega = state.vorticity()
     return {
         "t": series.t[i],
-        "M": _safe_exp(series.log_m[i]),
+        "M": exp_or_inf(series.log_m[i]),
         "M_measured": series.m_measured[i] if config.track_particles else None,
-        "N": _safe_exp(series.log_n[i]),
+        "N": exp_or_inf(series.log_n[i]),
         "Q": series.q[i],
         "Y": series.y[i],
         "Z": series.z[i],

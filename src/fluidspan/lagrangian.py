@@ -4,7 +4,11 @@ A square ensemble of particles seeded at labels a is advected by RK4 on
 dX/dt = u(t, X) while the Jacobian is transported along each path by
 d(grad X)/dt = grad u(X) . grad X.  Velocities and their gradients are
 evaluated at particle positions with periodic bicubic interpolation
-(O(dx^4) error against the spectral fields).
+(O(dx^4) error against the spectral fields): one PeriodicInterpolator
+prefilters a set of sampled planes once and returns all of them per call.
+A velocity provider is a callable ``provider(stage, points) -> (u, grad u)``
+read once per RK4 stage: StageVelocity interpolates the four stage
+velocities of a model step, analytic_velocity wraps closed forms.
 
 On top of the ensemble this module tracks the stretching quantities
 
@@ -19,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 import numpy as np
 from scipy import ndimage
@@ -28,7 +31,6 @@ from scipy.spatial import cKDTree
 from .errors import ChordArcError, InstabilityError, ReconstructionError
 from .fields import (
     ScalarField,
-    VectorField,
     derivative_orders,
     grad_layers,
     gradient,
@@ -38,7 +40,6 @@ from .fields import (
     operator_norm_2x2,
     sobolev_norm,
     sobolev_terms,
-    spectral_derivative,
     TWO_PI,
 )
 from .models import MHD_KINDS, ModelKind
@@ -50,99 +51,66 @@ CHORD_ARC_TOL = 1e-3
 
 
 class PeriodicInterpolator:
-    """Bicubic periodic interpolation of one gridded scalar.
+    """Bicubic periodic interpolation of planes sampled at spacings dx, dy.
 
-    ``grid`` only needs the spacings dx and dy; it is taken from the field
-    when a ScalarField is given.
+    Each plane is prefiltered once, here; a call maps the points to grid
+    coordinates once and returns every plane's values stacked on axis 0.
     """
 
-    def __init__(self, field_or_values, grid=None):
-        if isinstance(field_or_values, ScalarField):
-            self.grid = field_or_values.grid
-            values = field_or_values.values
-        else:
-            self.grid = grid
-            values = field_or_values
-        self._coeffs = ndimage.spline_filter(values, order=_SPLINE_ORDER, mode="grid-wrap")
+    def __init__(self, planes, dx, dy):
+        self.dx, self.dy = dx, dy
+        self._coeffs = [ndimage.spline_filter(p, order=_SPLINE_ORDER, mode="grid-wrap")
+                        for p in planes]
 
     def __call__(self, points):
-        """Evaluate at points of shape (..., 2)."""
+        """Evaluate at points of shape (..., 2); returns (planes, ...)."""
         pts = np.asarray(points)
-        coords = np.stack([pts[..., 0] / self.grid.dx, pts[..., 1] / self.grid.dy])
-        return ndimage.map_coordinates(
-            self._coeffs, coords.reshape(2, -1), order=_SPLINE_ORDER,
-            mode="grid-wrap", prefilter=False,
-        ).reshape(pts.shape[:-1])
+        coords = np.stack([pts[..., 0] / self.dx, pts[..., 1] / self.dy]).reshape(2, -1)
+        out = np.empty((len(self._coeffs), coords.shape[1]))
+        for c, o in zip(self._coeffs, out):
+            ndimage.map_coordinates(c, coords, output=o, order=_SPLINE_ORDER,
+                                    mode="grid-wrap", prefilter=False)
+        return out.reshape((len(self._coeffs),) + pts.shape[:-1])
 
 
-def _label_interpolator(values):
-    """Periodic bicubic interpolation over the m x m label grid."""
-    h = TWO_PI / values.shape[0]
-    return PeriodicInterpolator(values, grid=SimpleNamespace(dx=h, dy=h))
-
-
-class FrozenFieldVelocity:
-    """Velocity provider backed by one gridded snapshot (ignores t and stage)."""
-
-    def __init__(self, w: VectorField):
-        self.grid = w.grid
-        self._u = PeriodicInterpolator(w.u)
-        self._v = PeriodicInterpolator(w.v)
-        _, ((a, c), (b, d)) = derivative_orders((w.u, w.v), 1, lambda planes: planes)
-        self._grad = [PeriodicInterpolator(g, grid=w.grid) for g in (a, b, c, d)]
-
-    def velocity_at(self, t, points, stage):
-        return np.stack([self._u(points), self._v(points)], axis=-1)
-
-    def gradient_at(self, t, points, stage):
-        a, b, c, d = (g(points) for g in self._grad)
-        out = np.empty(points.shape[:-1] + (2, 2))
-        out[..., 0, 0] = a
-        out[..., 0, 1] = b
-        out[..., 1, 0] = c
-        out[..., 1, 1] = d
-        return out
-
-
-class AnalyticVelocity:
-    """Velocity provider from closed-form u(t, x, y) and grad u(t, x, y)
-    (ignores the stage)."""
-
-    def __init__(self, u_fn, grad_fn):
-        self.u_fn = u_fn
-        self.grad_fn = grad_fn
-
-    def velocity_at(self, t, points, stage):
-        u, v = self.u_fn(t, points[..., 0], points[..., 1])
-        return np.stack([np.broadcast_to(u, points.shape[:-1]),
-                         np.broadcast_to(v, points.shape[:-1])], axis=-1)
-
-    def gradient_at(self, t, points, stage):
-        a, b, c, d = self.grad_fn(t, points[..., 0], points[..., 1])
-        out = np.empty(points.shape[:-1] + (2, 2))
-        out[..., 0, 0] = np.broadcast_to(a, points.shape[:-1])
-        out[..., 0, 1] = np.broadcast_to(b, points.shape[:-1])
-        out[..., 1, 0] = np.broadcast_to(c, points.shape[:-1])
-        out[..., 1, 1] = np.broadcast_to(d, points.shape[:-1])
-        return out
+def _split_velocity(planes):
+    """(u, grad u) with shapes (..., 2) and (..., 2, 2) from the stacked
+    planes (u1, u2, d_x u1, d_y u1, d_x u2, d_y u2)."""
+    vals = np.moveaxis(planes, 0, -1)
+    return vals[..., :2], vals[..., 2:].reshape(vals.shape[:-1] + (2, 2))
 
 
 class StageVelocity:
-    """Provider built from the RK4 stage velocities of a model step.
+    """Provider built from the four RK4 stage velocities of a model step.
 
-    ``stages`` are the four stage velocity fields from
-    models.step_detailed, in stage order; stage k of the flow-map step
-    reads stage k of the field step.
+    ``stages`` are the stage velocity fields from models.step_detailed, in
+    stage order; each gets one interpolator over u1, u2 and the four
+    entries of grad u, all prefiltered here.  ``provider(stage, points)``
+    returns (u, grad u) of that stage at the points, so stage k of the
+    flow-map step reads stage k of the field step.
     """
 
     def __init__(self, stages):
-        self._stages = [FrozenFieldVelocity(w) for w in stages]
+        self._stages = []
+        for w in stages:
+            (uv,), ((a, c), (b, d)) = derivative_orders((w.u, w.v), 1, lambda planes: planes)
+            self._stages.append(PeriodicInterpolator((*uv, a, b, c, d), w.grid.dx, w.grid.dy))
 
-    def velocity_at(self, t, points, stage):
-        return self._stages[stage].velocity_at(t, points, stage)
+    def __call__(self, stage, points):
+        return _split_velocity(self._stages[stage](points))
 
-    def gradient_at(self, t, points, stage):
-        return self._stages[stage].gradient_at(t, points, stage)
+
+def analytic_velocity(u_fn, grad_fn):
+    """Provider from closed-form u_fn(x, y) -> (u1, u2) and grad_fn(x, y) ->
+    (d_x u1, d_y u1, d_x u2, d_y u2); every stage reads the same field."""
+
+    def provider(stage, points):
+        x, y = points[..., 0], points[..., 1]
+        shape = points.shape[:-1]
+        return _split_velocity([np.broadcast_to(c, shape)
+                                for c in (*u_fn(x, y), *grad_fn(x, y))])
+
+    return provider
 
 
 @dataclass
@@ -173,29 +141,27 @@ def identity_ensemble(m=64):
 def advect_flow_map(ens, provider, dt):
     """One RK4 step of the coupled position/Jacobian system.
 
-    ``provider`` exposes velocity_at(t, pts, stage) -> (..., 2) and
-    gradient_at(t, pts, stage) -> (..., 2, 2), where stage is the RK4 stage
-    index 0..3; positions wrap on the torus.
+    ``provider(stage, pts)`` returns (u, grad u) at the wrapped positions
+    pts, with shapes (..., 2) and (..., 2, 2), for the RK4 stage index
+    0..3; the positions themselves stay unwrapped.
     """
-    t = ens.t
     x0, g0 = ens.x, ens.jac
 
-    def f(stage, ti, x, g):
-        dx = provider.velocity_at(ti, np.mod(x, TWO_PI), stage)
-        gu = provider.gradient_at(ti, np.mod(x, TWO_PI), stage)
-        dg = np.einsum("...ab,...bc->...ac", gu, g)
-        return dx, dg
+    def f(stage, x, g):
+        dx, gu = provider(stage, np.mod(x, TWO_PI))
+        return dx, np.einsum("...ab,...bc->...ac", gu, g)
 
-    k1x, k1g = f(0, t, x0, g0)
-    k2x, k2g = f(1, t + 0.5 * dt, x0 + 0.5 * dt * k1x, g0 + 0.5 * dt * k1g)
-    k3x, k3g = f(2, t + 0.5 * dt, x0 + 0.5 * dt * k2x, g0 + 0.5 * dt * k2g)
-    k4x, k4g = f(3, t + dt, x0 + dt * k3x, g0 + dt * k3g)
+    k1x, k1g = f(0, x0, g0)
+    k2x, k2g = f(1, x0 + 0.5 * dt * k1x, g0 + 0.5 * dt * k1g)
+    k3x, k3g = f(2, x0 + 0.5 * dt * k2x, g0 + 0.5 * dt * k2g)
+    k4x, k4g = f(3, x0 + dt * k3x, g0 + dt * k3g)
 
     x = x0 + (dt / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
     g = g0 + (dt / 6.0) * (k1g + 2 * k2g + 2 * k3g + k4g)
+    t = ens.t + dt
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(g))):
-        raise InstabilityError(f"non-finite flow map at t = {t + dt}")
-    return FlowMapEnsemble(labels=ens.labels, x=x, jac=g, t=t + dt)
+        raise InstabilityError(f"non-finite flow map at t = {t}")
+    return FlowMapEnsemble(labels=ens.labels, x=x, jac=g, t=t)
 
 
 def jacobian_norms(ens):
@@ -217,29 +183,27 @@ def jacobian_norms(ens):
 # back-to-label map
 # ---------------------------------------------------------------------------
 
-def _label_interpolators(ens):
-    """Periodic interpolators over the label grid for X - a and grad X.
-
-    The displacement uses the unwrapped lift kept by advect_flow_map, so it
-    is smooth and periodic in the label even when particles travel far.
-    """
-    disp = ens.x - ens.labels
-    disp_i = [_label_interpolator(disp[..., k]) for k in range(2)]
-    jac_i = [_label_interpolator(ens.jac[..., a, b]) for a in range(2) for b in range(2)]
-    return disp_i, jac_i
+def _on_labels(m, planes):
+    """Periodic bicubic interpolation of planes sampled on the m x m label grid."""
+    h = TWO_PI / m
+    return PeriodicInterpolator(planes, h, h)
 
 
-def _eval_map(disp_i, labels):
-    dx = disp_i[0](labels)
-    dy = disp_i[1](labels)
-    return np.mod(labels + np.stack([dx, dy], axis=-1), TWO_PI)
+def _map_residual(targets, labels, dx, dy):
+    """targets - X(labels) on the torus, in [-pi, pi), from the displacement
+    X - a = (dx, dy) interpolated at the labels."""
+    x_at = np.mod(labels + np.stack([dx, dy], axis=-1), TWO_PI)
+    return np.mod(targets - x_at + np.pi, TWO_PI) - np.pi
 
 
 def back_to_label(ens, grid, newton_steps=2):
     """Inverse flow map A on the grid: nearest label seed plus Newton polish.
 
     Returns an (nx, ny, 2) array of labels with X(A(x)) = x up to
-    interpolation error.
+    interpolation error.  Each Newton step reads X - a and grad X at the
+    current labels from one interpolator over the label grid; the
+    displacement uses the unwrapped lift kept by advect_flow_map, so it is
+    smooth and periodic in the label even when particles travel far.
     """
     m = ens.m
     pos = np.mod(ens.x.reshape(-1, 2), TWO_PI)
@@ -253,11 +217,12 @@ def back_to_label(ens, grid, newton_steps=2):
     idx = idx % (m * m)
     labels = ens.labels.reshape(-1, 2)[idx]
 
-    disp_i, jac_i = _label_interpolators(ens)
+    disp = ens.x - ens.labels
+    label_map = _on_labels(m, (disp[..., 0], disp[..., 1],
+                               *(ens.jac[..., a, b] for a in range(2) for b in range(2))))
     for _ in range(newton_steps):
-        x_at = _eval_map(disp_i, labels)
-        r = np.mod(targets - x_at + np.pi, TWO_PI) - np.pi
-        a, b, c, d = (ji(labels) for ji in jac_i)
+        dx, dy, a, b, c, d = label_map(labels)
+        r = _map_residual(targets, labels, dx, dy)
         det = a * d - b * c
         da = (d * r[:, 0] - b * r[:, 1]) / det
         db = (-c * r[:, 0] + a * r[:, 1]) / det
@@ -267,10 +232,11 @@ def back_to_label(ens, grid, newton_steps=2):
 
 def back_to_label_residual(ens, grid, labels):
     """Grid supremum of |X(A(x)) - x| after inverse interpolation."""
-    disp_i, _ = _label_interpolators(ens)
-    x_at = _eval_map(disp_i, labels.reshape(-1, 2))
+    labels = labels.reshape(-1, 2)
+    disp = ens.x - ens.labels
+    dx, dy = _on_labels(ens.m, (disp[..., 0], disp[..., 1]))(labels)
     targets = np.stack([grid.X, grid.Y], axis=-1).reshape(-1, 2)
-    r = np.mod(targets - x_at + np.pi, TWO_PI) - np.pi
+    r = _map_residual(targets, labels, dx, dy)
     return float(np.max(np.hypot(r[:, 0], r[:, 1])))
 
 
@@ -317,6 +283,11 @@ class StretchingSeries:
 
     def times(self):
         return np.array(self.t)
+
+
+def exp_or_inf(x):
+    """exp(x) as a float, inf where it would overflow."""
+    return math.exp(x) if x < 709.0 else math.inf
 
 
 def _total(orders, k):
@@ -372,8 +343,7 @@ def record(series, state, ens=None):
     series.m_measured.append(measured)
     series.detj_err.append(detj)
 
-    m_now = math.exp(log_m) if log_m < 709.0 else math.inf
-    n_now = math.exp(log_n) if log_n < 709.0 else math.inf
+    m_now, n_now = exp_or_inf(log_m), exp_or_inf(log_n)
     if measured > m_now * (1.0 + CHORD_ARC_TOL):
         raise ChordArcError(
             f"measured stretching {measured:.6f} exceeds M = {m_now:.6f} "
@@ -439,19 +409,25 @@ def _accumulate(series, name, integrand_now):
 # Duhamel reconstruction
 # ---------------------------------------------------------------------------
 
-def _force_field(state):
-    """grad(dE/drho) for the state's model, as a VectorField or constant."""
+def _pull_back(jac, f1, f2):
+    """grad* X . F at the particles: (G_{j0} F_j, G_{j1} F_j) for G = grad X."""
+    return (jac[..., 0, 0] * f1 + jac[..., 1, 0] * f2,
+            jac[..., 0, 1] * f1 + jac[..., 1, 1] * f2)
+
+
+def _force_at(state, pos):
+    """grad(dE/drho) of the state's model at the points pos, as (F1, F2)."""
     kind = state.kind
-    if kind is ModelKind.BOUSSINESQ:
-        return None  # constant (0, -1), handled without interpolation
+    if kind is ModelKind.BOUSSINESQ:  # dE/drho = -x2: the constant (0, -1)
+        return np.zeros(pos.shape[:-1]), np.full(pos.shape[:-1], -1.0)
     if kind is ModelKind.IIE:
         u = state.velocity()
-        kin = ScalarField(state.grid, 0.5 * (u.u.values**2 + u.v.values**2))
-        return gradient(kin)
-    if kind in MHD_KINDS:
-        current = state.current()
-        return -1.0 * gradient(current)
-    raise ReconstructionError(f"model {kind} has no Duhamel forcing")
+        w = gradient(ScalarField(state.grid, 0.5 * (u.u.values**2 + u.v.values**2)))
+    elif kind in MHD_KINDS:
+        w = -1.0 * gradient(state.current())
+    else:
+        raise ReconstructionError(f"model {kind} has no Duhamel forcing")
+    return PeriodicInterpolator((w.u.values, w.v.values), w.grid.dx, w.grid.dy)(pos)
 
 
 class DuhamelHistory:
@@ -468,32 +444,18 @@ class DuhamelHistory:
         rho0 = state.density()
         if rho0 is None:
             raise ReconstructionError("Duhamel reconstruction needs a density")
-        omega0 = state.vorticity()
-        pts = ens.labels
-        self.omega0 = PeriodicInterpolator(omega0)(pts)
-        gx = spectral_derivative(rho0, (1, 0))
-        gy = spectral_derivative(rho0, (0, 1))
-        # grad^perp rho0 at the labels
-        self.perp0 = np.stack(
-            [-PeriodicInterpolator(gy)(pts), PeriodicInterpolator(gx)(pts)], axis=-1)
+        grad_rho0 = gradient(rho0)
+        self.omega0, gx, gy = PeriodicInterpolator(
+            (state.vorticity().values, grad_rho0.u.values, grad_rho0.v.values),
+            grid.dx, grid.dy)(ens.labels)
+        self.perp0 = np.stack([-gy, gx], axis=-1)  # grad^perp rho0 at the labels
         self.integral = np.zeros_like(self.perp0)
         self.t = state.t
         self._prev = self._integrand(state, ens)
 
     def _integrand(self, state, ens):
-        pos = np.mod(ens.x, TWO_PI)
-        if state.kind is ModelKind.BOUSSINESQ:
-            f1 = np.zeros(pos.shape[:-1])
-            f2 = np.full(pos.shape[:-1], -1.0)
-        else:
-            w = _force_field(state)
-            f1 = PeriodicInterpolator(w.u)(pos)
-            f2 = PeriodicInterpolator(w.v)(pos)
-        g = ens.jac
-        # (grad* X . F)_i = G_{ji} F_j
-        w1 = g[..., 0, 0] * f1 + g[..., 1, 0] * f2
-        w2 = g[..., 0, 1] * f1 + g[..., 1, 1] * f2
-        return np.stack([w1, w2], axis=-1)
+        f1, f2 = _force_at(state, np.mod(ens.x, TWO_PI))
+        return np.stack(_pull_back(ens.jac, f1, f2), axis=-1)
 
     def update(self, state, ens):
         if abs(ens.t - state.t) > 1e-12 * max(1.0, abs(state.t)):
@@ -519,8 +481,8 @@ def duhamel_vorticity(ens, history, grid):
     w_labels = np.einsum("...k,...k->...", history.perp0, history.integral)
     values = history.omega0 - w_labels
     labels = back_to_label(ens, grid)
-    rec = _label_interpolator(values)(labels.reshape(-1, 2))
-    return ScalarField(grid, rec.reshape(grid.nx, grid.ny))
+    rec = _on_labels(ens.m, (values,))(labels)[0]
+    return ScalarField(grid, rec)
 
 
 # ---------------------------------------------------------------------------
@@ -535,13 +497,8 @@ def check_transport_lemma(ens, f, p):
     """
     grid = f.grid
     _, ((fx,), (fy,)) = derivative_orders((f,), 1, lambda planes: planes)
-    pos = np.mod(ens.x, TWO_PI)
-    f1 = PeriodicInterpolator(fx, grid=grid)(pos)
-    f2 = PeriodicInterpolator(fy, grid=grid)(pos)
-    g = ens.jac
-    w1 = g[..., 0, 0] * f1 + g[..., 1, 0] * f2
-    w2 = g[..., 0, 1] * f1 + g[..., 1, 1] * f2
-    mags = np.hypot(w1, w2)
+    f1, f2 = PeriodicInterpolator((fx, fy), grid.dx, grid.dy)(np.mod(ens.x, TWO_PI))
+    mags = np.hypot(*_pull_back(ens.jac, f1, f2))
 
     m = ens.m
     label_area = (TWO_PI / m) ** 2

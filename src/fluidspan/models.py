@@ -95,7 +95,8 @@ class FluidState:
     is the mean of rho, fixed by the initial data.
 
     Confined to one integration thread; ``aux`` carries the per-run
-    elliptic warm start (``q_prev``) and the reports of its elliptic
+    elliptic warm start (``q_prev``, the last potential's rfft2
+    coefficients) and the reports of its elliptic
     solves (``reports``), and is shared across the states produced by a
     stepping sequence.
     """
@@ -182,11 +183,11 @@ class FluidState:
 
     def _recover_velocity(self):
         if self.kind is ModelKind.IIE:
-            u, q, report = recover_velocity_detailed(
+            u, q_hat, report = recover_velocity_detailed(
                 self.rho, self.omega, tol=self.elliptic_tol,
                 q0=self.aux.get("q_prev"),
             )
-            self.aux["q_prev"] = q
+            self.aux["q_prev"] = q_hat
             self.aux.setdefault("reports", []).append(report)
             return u
         return biot_savart(self.vorticity())

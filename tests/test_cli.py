@@ -76,6 +76,19 @@ def test_removed_keys_exit_2(tmp_path, capsys):
         assert not (out / "run.csv").exists()
 
 
+@pytest.mark.parametrize("key", ["seed_profile", "delta_norm"])
+def test_unknown_choice_exit_2(tmp_path, capsys, key):
+    # seed_profile and delta_norm are checked against models.PROFILES and
+    # models.DELTA_NORMS at parse time, before any file is written.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"model = boussinesq\nnx = 16\nny = 16\nt_end = 0.01\n{key} = nope\n")
+    for cmd in (["run"], ["sweep", "--deltas", "0.1"]):
+        out = tmp_path / cmd[0]
+        assert main([*cmd, "--config", str(cfg), "--out", str(out)]) == 2, cmd
+        assert f"unknown {key} 'nope'" in capsys.readouterr().err
+        assert not any(out.rglob("run.csv"))
+
+
 @pytest.mark.parametrize("bad", ["abc", "0", "-3", "1.5"])
 def test_bad_thread_count_exit_2(tmp_path, monkeypatch, capsys, bad):
     # FLUIDSPAN_THREADS is checked before run.csv is opened, so a bad value

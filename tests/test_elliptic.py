@@ -43,8 +43,8 @@ def forcing(rho, omega):
 
 def test_homogeneous_density_gives_zero_q(grid):
     rho = ScalarField(grid, np.ones((grid.nx, grid.ny)))
-    _, q, report = recover_velocity_detailed(rho, omega_default(grid))
-    assert q.max_abs() == 0.0
+    _, q_hat, report = recover_velocity_detailed(rho, omega_default(grid))
+    assert ScalarField.from_hat(grid, q_hat).max_abs() == 0.0
     assert report.iterations == 1
     assert report.residual == 0.0
 
@@ -84,7 +84,7 @@ def test_perturbative_solve_properties(grid):
     omega = omega_default(grid)
     mu = 1.0 + 0.05 * np.sin(grid.Y)  # delta = 0.05, theta = sin y
     rho = ScalarField(grid, 1.0 / mu)
-    _, q, report = recover_velocity_detailed(rho, omega, tol=1e-10)
+    _, _, report = recover_velocity_detailed(rho, omega, tol=1e-10)
     assert report.residual <= 1e-10
     assert report.method == "preconditioned_cg"
     # ||mu - 1||_inf bounds the perturbative fixed-point contraction: O(delta)
@@ -147,7 +147,8 @@ def test_methods_agree(grid):
         q_ref = invert_laplacian(rhs - rhs.mean, mean_tol=np.inf)
 
     tol = 1e-11
-    _, q, rep = recover_velocity_detailed(rho, omega, tol=tol)
+    _, q_hat, rep = recover_velocity_detailed(rho, omega, tol=tol)
+    q = ScalarField.from_hat(grid, q_hat)
     assert rep.method == "preconditioned_cg"
     diff = lp_norm(q_ref.values - q.values, 2, grid.cell_area)
     assert diff <= 10 * tol
@@ -162,7 +163,8 @@ def test_residual_is_honest(grid, mu_fn):
     mu = mu_fn(grid.X, grid.Y)
     rho = ScalarField(grid, 1.0 / mu)
     tol = 1e-10
-    _, q, rep = recover_velocity_detailed(rho, omega, tol=tol)
+    _, q_hat, rep = recover_velocity_detailed(rho, omega, tol=tol)
+    q = ScalarField.from_hat(grid, q_hat)
     b = forcing(rho, omega)
     r = div_mu_grad(mu, q).values - b.values
     recomputed = np.linalg.norm(r) / np.linalg.norm(b.values)
@@ -211,19 +213,20 @@ def test_warm_start_is_consistent(grid):
     omega = omega_default(grid)
     mu = 1.0 + 0.05 * np.sin(grid.Y)
     rho = ScalarField(grid, 1.0 / mu)
-    u1, q1, _ = recover_velocity_detailed(rho, omega, tol=1e-11)
-    u2, q2, rep2 = recover_velocity_detailed(rho, omega, tol=1e-11, q0=q1)
+    u1, q1_hat, _ = recover_velocity_detailed(rho, omega, tol=1e-11)
+    u2, _, rep2 = recover_velocity_detailed(rho, omega, tol=1e-11, q0=q1_hat)
     assert rep2.iterations <= 3
     assert np.max(np.abs(u1.u.values - u2.u.values)) <= 1e-9
 
 
 def test_pcg_transforms_per_iteration(grid, monkeypatch):
     # Machine-free cost of one cold solve (delta = 0.3, one PCG cycle):
-    # 4 transforms per iteration, plus a fixed overhead of 7 forward and 9
+    # 4 transforms per iteration, plus a fixed overhead of 7 forward and 8
     # inverse transforms: omega's coefficients (1 forward; a model state
     # carries them already), K omega (2 inverse), the right-hand side
     # div((mu - 1) K omega) (2 forward), the initial and the closing true
-    # residual (2 + 2 each), and q with grad q (3 inverse).
+    # residual (2 + 2 each), and grad q (2 inverse; q itself is returned as
+    # coefficients).
     omega = omega_default(grid)
     rho = ScalarField(grid, 1.0 / (1.0 + 0.3 * np.sin(grid.X) * np.cos(grid.Y)))
     counts = {"rfft2": 0, "irfft2": 0}
@@ -241,4 +244,4 @@ def test_pcg_transforms_per_iteration(grid, monkeypatch):
     _, _, rep = recover_velocity_detailed(rho, omega, tol=1e-10)
     assert rep.iterations > 3
     assert counts["rfft2"] == 2 * rep.iterations + 7
-    assert counts["irfft2"] == 2 * rep.iterations + 9
+    assert counts["irfft2"] == 2 * rep.iterations + 8

@@ -10,13 +10,12 @@ from fluidspan.fields import (
     spectral_derivative,
 )
 from fluidspan.lagrangian import (
-    AnalyticVelocity,
     DuhamelHistory,
-    FrozenFieldVelocity,
     PeriodicInterpolator,
     StageVelocity,
     StretchingSeries,
     advect_flow_map,
+    analytic_velocity,
     back_to_label,
     back_to_label_residual,
     check_transport_lemma,
@@ -39,18 +38,18 @@ GOLDEN = (1 + np.sqrt(5)) / 2
 
 def shear_provider():
     # steady shear u = (sin y, 0); closed-form map X = (a1 + t sin a2, a2)
-    return AnalyticVelocity(
-        u_fn=lambda t, x, y: (np.sin(y), np.zeros_like(x)),
-        grad_fn=lambda t, x, y: (np.zeros_like(x), np.cos(y),
-                                 np.zeros_like(x), np.zeros_like(x)),
+    return analytic_velocity(
+        u_fn=lambda x, y: (np.sin(y), np.zeros_like(x)),
+        grad_fn=lambda x, y: (np.zeros_like(x), np.cos(y),
+                              np.zeros_like(x), np.zeros_like(x)),
     )
 
 
 def test_zero_velocity_leaves_ensemble_fixed():
     ens = identity_ensemble(16)
-    prov = AnalyticVelocity(
-        u_fn=lambda t, x, y: (np.zeros_like(x), np.zeros_like(y)),
-        grad_fn=lambda t, x, y: tuple(np.zeros_like(x) for _ in range(4)),
+    prov = analytic_velocity(
+        u_fn=lambda x, y: (np.zeros_like(x), np.zeros_like(y)),
+        grad_fn=lambda x, y: tuple(np.zeros_like(x) for _ in range(4)),
     )
     out = advect_flow_map(ens, prov, 0.1)
     assert np.array_equal(out.x, ens.x)
@@ -81,7 +80,7 @@ def test_area_preservation_for_solver_velocity():
     grid = Grid(64)
     omega = ScalarField.from_function(
         grid, lambda x, y: np.sin(x) * np.sin(y) + 0.7 * np.cos(2 * x + y))
-    prov = FrozenFieldVelocity(biot_savart(omega))
+    prov = StageVelocity([biot_savart(omega)] * 4)
     ens = identity_ensemble(32)
     dt = 0.02
     for _ in range(50):
@@ -93,13 +92,11 @@ def test_area_preservation_for_solver_velocity():
 def test_interpolation_accuracy():
     grid = Grid(64)
     f = ScalarField.from_function(grid, lambda x, y: np.sin(x) * np.cos(2 * y))
-    from fluidspan.lagrangian import PeriodicInterpolator
-
-    interp = PeriodicInterpolator(f)
+    interp = PeriodicInterpolator([f.values], grid.dx, grid.dy)
     rng = np.random.default_rng(0)
     pts = rng.uniform(0, 2 * np.pi, size=(500, 2))
     exact = np.sin(pts[:, 0]) * np.cos(2 * pts[:, 1])
-    assert np.max(np.abs(interp(pts) - exact)) < 5e-5  # O(dx^4)
+    assert np.max(np.abs(interp(pts)[0] - exact)) < 5e-5  # O(dx^4)
 
 
 def test_interpolation_is_fourth_order():
@@ -111,9 +108,50 @@ def test_interpolation_is_fourth_order():
     errors = []
     for n in (32, 64, 128):
         f = ScalarField.from_function(Grid(n), lambda x, y: np.sin(x) * np.cos(2 * y))
-        errors.append(np.max(np.abs(PeriodicInterpolator(f)(pts) - exact)))
+        interp = PeriodicInterpolator([f.values], f.grid.dx, f.grid.dy)
+        errors.append(np.max(np.abs(interp(pts)[0] - exact)))
     orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
     assert np.all(orders >= 3.8), (errors, orders)
+
+
+def test_stage_velocity_matches_per_plane_reference():
+    # Each stage's six planes (u1, u2, d_x u1, d_y u1, d_x u2, d_y u2) equal
+    # a one-plane spline_filter + map_coordinates evaluation, bit for bit.
+    from scipy import ndimage
+
+    grid = Grid(32)
+    state, stages = step_detailed(initial_state(ModelKind.BOUSSINESQ, grid, delta=0.1), 0.02)
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(-1.0, 2 * np.pi + 1.0, size=(7, 9, 2))
+    coords = np.stack([pts[..., 0] / grid.dx, pts[..., 1] / grid.dy]).reshape(2, -1)
+
+    def reference(plane):
+        coeffs = ndimage.spline_filter(plane, order=3, mode="grid-wrap")
+        return ndimage.map_coordinates(coeffs, coords, order=3, mode="grid-wrap",
+                                       prefilter=False).reshape(pts.shape[:-1])
+
+    provider = StageVelocity(stages)
+    for k, w in enumerate(stages):
+        u, grad_u = provider(k, pts)
+        assert u.shape == (7, 9, 2) and grad_u.shape == (7, 9, 2, 2)
+        planes = (w.u, w.v, spectral_derivative(w.u, (1, 0)), spectral_derivative(w.u, (0, 1)),
+                  spectral_derivative(w.v, (1, 0)), spectral_derivative(w.v, (0, 1)))
+        got = (u[..., 0], u[..., 1], grad_u[..., 0, 0], grad_u[..., 0, 1],
+               grad_u[..., 1, 0], grad_u[..., 1, 1])
+        for i, (value, f) in enumerate(zip(got, planes)):
+            assert np.array_equal(value, reference(f.values)), (k, i)
+
+
+def test_advect_reads_provider_once_per_stage():
+    calls = []
+    shear = shear_provider()
+
+    def provider(stage, points):
+        calls.append(stage)
+        return shear(stage, points)
+
+    advect_flow_map(identity_ensemble(8), provider, 0.1)
+    assert calls == [0, 1, 2, 3]
 
 
 def test_back_to_label_consistency():
