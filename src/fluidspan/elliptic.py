@@ -36,7 +36,6 @@ from .fields import (
     _gradient_values,
     biot_savart,
     derivative_hat,
-    half_plane_weights,
     same_grid,
     to_physical,
 )
@@ -91,10 +90,12 @@ def _pcg_solve(grid, mu, rhs, tol, max_iter=500, x0=None):
     """
     k2 = grid.KXd**2 + grid.KYd**2
     inv_k2 = np.divide(1.0, k2, out=np.zeros_like(k2), where=k2 > 0.0)
-    weights = half_plane_weights(grid) / (grid.nx * grid.ny)
+    size = grid.nx * grid.ny
 
     def dot(a, b):
-        return float(np.vdot(a, weights * b).real)
+        # Half-plane weights: 2, but 1 on the ky = 0 and Nyquist columns.
+        full = 2.0 * np.vdot(a, b) - np.vdot(a[:, 0], b[:, 0]) - np.vdot(a[:, -1], b[:, -1])
+        return float(full.real) / size
 
     def norm(a):
         return math.sqrt(dot(a, a))

@@ -236,9 +236,13 @@ def velocity_hat(grid, omega_hat):
     return -derivative_hat(grid, psi, 0, 1), derivative_hat(grid, psi, 1, 0)
 
 
+def gradient_hat(grid, hat):
+    """Coefficients of (d_x f, d_y f)."""
+    return derivative_hat(grid, hat, 1, 0), derivative_hat(grid, hat, 0, 1)
+
+
 def _gradient_values(grid, hat):
-    return (to_physical(grid, derivative_hat(grid, hat, 1, 0)),
-            to_physical(grid, derivative_hat(grid, hat, 0, 1)))
+    return tuple(to_physical(grid, h) for h in gradient_hat(grid, hat))
 
 
 def advection_hat(grid, u1, u2, f_hat):

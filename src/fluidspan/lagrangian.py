@@ -5,7 +5,9 @@ dX/dt = u(t, X) while the Jacobian is transported along each path by
 d(grad X)/dt = grad u(X) . grad X.  Velocities and their gradients are
 evaluated at particle positions with periodic bicubic interpolation
 (O(dx^4) error against the spectral fields): one PeriodicInterpolator
-prefilters a set of sampled planes once and returns all of them per call.
+takes a set of planes as rfft2 coefficients, folds the cubic B-spline
+prefilter into their one inverse transform each, and returns all of them
+per call.
 A velocity provider is a callable ``provider(stage, points) -> (u, grad u)``
 read once per RK4 stage: StageVelocity interpolates the four stage
 velocities of a model step, analytic_velocity wraps closed forms.
@@ -33,13 +35,14 @@ from .fields import (
     ScalarField,
     derivative_orders,
     grad_layers,
-    gradient,
+    gradient_hat,
     kato_quotient,
     lp_norm,
     lp_terms,
     operator_norm_2x2,
     sobolev_norm,
     sobolev_terms,
+    to_physical,
     TWO_PI,
 )
 from .models import MHD_KINDS, ModelKind
@@ -51,16 +54,23 @@ CHORD_ARC_TOL = 1e-3
 
 
 class PeriodicInterpolator:
-    """Bicubic periodic interpolation of planes sampled at spacings dx, dy.
+    """Bicubic periodic interpolation of planes on an nx x ny grid of the torus.
 
-    Each plane is prefiltered once, here; a call maps the points to grid
-    coordinates once and returns every plane's values stacked on axis 0.
+    The planes come as rfft2 coefficients.  The cubic B-spline prefilter is
+    diagonal in Fourier space (Unser, Aldroubi & Eden 1993): it divides by
+    the spline's symbol (4 + 2 cos(2 pi k / n)) / 6 on each axis, so each
+    plane's spline coefficients cost one inverse transform.  A call maps
+    the points to grid coordinates once and returns every plane's values
+    stacked on axis 0.
     """
 
-    def __init__(self, planes, dx, dy):
-        self.dx, self.dy = dx, dy
-        self._coeffs = [ndimage.spline_filter(p, order=_SPLINE_ORDER, mode="grid-wrap")
-                        for p in planes]
+    def __init__(self, hats, shape):
+        nx, ny = shape
+        self.dx, self.dy = TWO_PI / nx, TWO_PI / ny
+        sx = (4.0 + 2.0 * np.cos(TWO_PI * np.fft.fftfreq(nx))) / 6.0
+        sy = (4.0 + 2.0 * np.cos(TWO_PI * np.fft.rfftfreq(ny))) / 6.0
+        symbol = sx[:, None] * sy[None, :]
+        self._coeffs = [np.fft.irfft2(h / symbol, s=shape) for h in hats]
 
     def __call__(self, points):
         """Evaluate at points of shape (..., 2); returns (planes, ...)."""
@@ -84,8 +94,9 @@ class StageVelocity:
     """Provider built from the four RK4 stage velocities of a model step.
 
     ``stages`` are the stage velocity fields from models.step_detailed, in
-    stage order; each gets one interpolator over u1, u2 and the four
-    entries of grad u, all prefiltered here.  ``provider(stage, points)``
+    stage order; each gets one interpolator over the coefficients of u1,
+    u2 and the four entries of grad u, all prefiltered here (six inverse
+    transforms per stage).  ``provider(stage, points)``
     returns (u, grad u) of that stage at the points, so stage k of the
     flow-map step reads stage k of the field step.
     """
@@ -93,8 +104,10 @@ class StageVelocity:
     def __init__(self, stages):
         self._stages = []
         for w in stages:
-            (uv,), ((a, c), (b, d)) = derivative_orders((w.u, w.v), 1, lambda planes: planes)
-            self._stages.append(PeriodicInterpolator((*uv, a, b, c, d), w.grid.dx, w.grid.dy))
+            g = w.grid
+            u1, u2 = w.u.hat, w.v.hat
+            hats = (u1, u2, *gradient_hat(g, u1), *gradient_hat(g, u2))
+            self._stages.append(PeriodicInterpolator(hats, (g.nx, g.ny)))
 
     def __call__(self, stage, points):
         return _split_velocity(self._stages[stage](points))
@@ -184,9 +197,9 @@ def jacobian_norms(ens):
 # ---------------------------------------------------------------------------
 
 def _on_labels(m, planes):
-    """Periodic bicubic interpolation of planes sampled on the m x m label grid."""
-    h = TWO_PI / m
-    return PeriodicInterpolator(planes, h, h)
+    """Periodic bicubic interpolation of planes sampled on the m x m label
+    grid; each plane must be periodic in the label."""
+    return PeriodicInterpolator([np.fft.rfft2(p) for p in planes], (m, m))
 
 
 def _map_residual(targets, labels, dx, dy):
@@ -368,7 +381,7 @@ def record(series, state, ens=None):
         if kind is ModelKind.MHD_ELSASSER:
             xi, eta = state.xi, state.eta
         else:
-            j_hat = -g.K2 * state.coeffs[1]
+            j_hat = state.current_hat()
             xi, eta = (ScalarField.from_hat(g, omega.hat + s * j_hat) for s in (1.0, -1.0))
         xi_terms, eta_terms = sobolev_terms((xi,), 2, p), sobolev_terms((eta,), 2, p)
         series.y.append(_total(xi_terms, 1) + _total(eta_terms, 1))
@@ -420,14 +433,15 @@ def _force_at(state, pos):
     kind = state.kind
     if kind is ModelKind.BOUSSINESQ:  # dE/drho = -x2: the constant (0, -1)
         return np.zeros(pos.shape[:-1]), np.full(pos.shape[:-1], -1.0)
+    g = state.grid
     if kind is ModelKind.IIE:
         u = state.velocity()
-        w = gradient(ScalarField(state.grid, 0.5 * (u.u.values**2 + u.v.values**2)))
+        hats = gradient_hat(g, np.fft.rfft2(0.5 * (u.u.values**2 + u.v.values**2)))
     elif kind in MHD_KINDS:
-        w = -1.0 * gradient(state.current())
+        hats = gradient_hat(g, -state.current_hat())
     else:
         raise ReconstructionError(f"model {kind} has no Duhamel forcing")
-    return PeriodicInterpolator((w.u.values, w.v.values), w.grid.dx, w.grid.dy)(pos)
+    return PeriodicInterpolator(hats, (g.nx, g.ny))(pos)
 
 
 class DuhamelHistory:
@@ -440,14 +454,12 @@ class DuhamelHistory:
     def __init__(self, state, ens):
         if ens.t != state.t:
             raise ReconstructionError("history must start with state and ensemble aligned")
-        grid = state.grid
+        g = state.grid
         rho0 = state.density()
         if rho0 is None:
             raise ReconstructionError("Duhamel reconstruction needs a density")
-        grad_rho0 = gradient(rho0)
-        self.omega0, gx, gy = PeriodicInterpolator(
-            (state.vorticity().values, grad_rho0.u.values, grad_rho0.v.values),
-            grid.dx, grid.dy)(ens.labels)
+        hats = (state.vorticity().hat, *gradient_hat(g, rho0.hat))
+        self.omega0, gx, gy = PeriodicInterpolator(hats, (g.nx, g.ny))(ens.labels)
         self.perp0 = np.stack([-gy, gx], axis=-1)  # grad^perp rho0 at the labels
         self.integral = np.zeros_like(self.perp0)
         self.t = state.t
@@ -496,14 +508,14 @@ def check_transport_lemma(ens, f, p):
     nonnegative up to interpolation error.
     """
     grid = f.grid
-    _, ((fx,), (fy,)) = derivative_orders((f,), 1, lambda planes: planes)
-    f1, f2 = PeriodicInterpolator((fx, fy), grid.dx, grid.dy)(np.mod(ens.x, TWO_PI))
+    hats = gradient_hat(grid, f.hat)
+    f1, f2 = PeriodicInterpolator(hats, (grid.nx, grid.ny))(np.mod(ens.x, TWO_PI))
     mags = np.hypot(*_pull_back(ens.jac, f1, f2))
 
     m = ens.m
     label_area = (TWO_PI / m) ** 2
     sup_jac = jacobian_norms(ens)[0]
-    grad_f = np.hypot(fx, fy)
+    grad_f = np.hypot(*(to_physical(grid, h) for h in hats))
     out = {}
     for r in (p, np.inf):
         lhs = lp_norm(mags, r, label_area)

@@ -89,9 +89,10 @@ class FluidState:
     The fields are carried as ``coeffs``, one tuple of rfft2 coefficient
     arrays ordered as FIELD_NAMES[kind].  ``omega``, ``rho``, ``xi`` and
     ``eta`` return them as ScalarFields (None for a field the model does
-    not carry); these and the velocity are computed at most once per state.
-    Derived fields (density, current, magnetic field) are not kept, so a
-    state holds no more arrays than its fields and velocity.  ``mass_mean``
+    not carry); these, the velocity and the vorticity are computed at most
+    once per state.  Other derived fields (density, current, magnetic
+    field) are not kept, so a state holds no more arrays than its fields,
+    velocity and vorticity (one extra plane for Elsasser).  ``mass_mean``
     is the mean of rho, fixed by the initial data.
 
     Confined to one integration thread; ``aux`` carries the per-run
@@ -137,26 +138,29 @@ class FluidState:
     eta = property(lambda self: self._field("eta"))
 
     def vorticity(self):
-        if self.kind is ModelKind.MHD_ELSASSER:
+        """Vorticity (computed once per state; for Elsasser, (xi + eta) / 2)."""
+        if self.kind is not ModelKind.MHD_ELSASSER:
+            return self.omega
+        if "vorticity" not in self._cache:
             xi, eta = self.coeffs
-            return ScalarField.from_hat(self.grid, 0.5 * (xi + eta))
-        return self.omega
+            self._cache["vorticity"] = ScalarField.from_hat(self.grid, 0.5 * (xi + eta))
+        return self._cache["vorticity"]
 
-    def current(self):
-        """Current J = Lap(rho) of the MHD models; None for the others."""
+    def current_hat(self):
+        """Coefficients of the current J = Lap(rho) of the MHD models; None
+        for the others."""
         if self.kind is ModelKind.MHD_ELSASSER:
             xi, eta = self.coeffs
-            return ScalarField.from_hat(self.grid, 0.5 * (xi - eta))
+            return 0.5 * (xi - eta)
         if self.kind is ModelKind.MHD_VORTICITY_CURRENT:
-            return laplacian(self.rho)
+            return -self.grid.K2 * self.coeffs[1]
         return None
 
     def _density_hat(self):
         if self.kind is not ModelKind.MHD_ELSASSER:
             return self.coeffs[1]
         g = self.grid
-        xi, eta = self.coeffs
-        hat = inverse_laplacian_hat(g, 0.5 * (xi - eta))
+        hat = inverse_laplacian_hat(g, self.current_hat())
         hat[0, 0] = self.mass_mean * g.nx * g.ny
         return hat
 

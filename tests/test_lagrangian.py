@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from fluidspan.fields import (
     Grid,
@@ -14,6 +15,7 @@ from fluidspan.lagrangian import (
     PeriodicInterpolator,
     StageVelocity,
     StretchingSeries,
+    _on_labels,
     advect_flow_map,
     analytic_velocity,
     back_to_label,
@@ -92,7 +94,7 @@ def test_area_preservation_for_solver_velocity():
 def test_interpolation_accuracy():
     grid = Grid(64)
     f = ScalarField.from_function(grid, lambda x, y: np.sin(x) * np.cos(2 * y))
-    interp = PeriodicInterpolator([f.values], grid.dx, grid.dy)
+    interp = PeriodicInterpolator([f.hat], (grid.nx, grid.ny))
     rng = np.random.default_rng(0)
     pts = rng.uniform(0, 2 * np.pi, size=(500, 2))
     exact = np.sin(pts[:, 0]) * np.cos(2 * pts[:, 1])
@@ -108,25 +110,34 @@ def test_interpolation_is_fourth_order():
     errors = []
     for n in (32, 64, 128):
         f = ScalarField.from_function(Grid(n), lambda x, y: np.sin(x) * np.cos(2 * y))
-        interp = PeriodicInterpolator([f.values], f.grid.dx, f.grid.dy)
+        interp = PeriodicInterpolator([f.hat], (n, n))
         errors.append(np.max(np.abs(interp(pts)[0] - exact)))
     orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
     assert np.all(orders >= 3.8), (errors, orders)
 
 
+def _spline_reference(plane, coords):
+    """One plane prefiltered by scipy's spline_filter and evaluated by
+    map_coordinates: the interpolant the spectral prefilter must reproduce."""
+    coeffs = ndimage.spline_filter(plane, order=3, mode="grid-wrap")
+    return ndimage.map_coordinates(coeffs, coords, order=3, mode="grid-wrap", prefilter=False)
+
+
 def test_stage_velocity_matches_per_plane_reference():
     # Each stage's six planes (u1, u2, d_x u1, d_y u1, d_x u2, d_y u2) equal
-    # a one-plane spline_filter + map_coordinates evaluation, bit for bit.
-    from scipy import ndimage
-
+    # a one-plane irfft2(hat / symbol) + map_coordinates evaluation bit for
+    # bit, and the spline_filter + map_coordinates one to round-off.
     grid = Grid(32)
     state, stages = step_detailed(initial_state(ModelKind.BOUSSINESQ, grid, delta=0.1), 0.02)
     rng = np.random.default_rng(5)
     pts = rng.uniform(-1.0, 2 * np.pi + 1.0, size=(7, 9, 2))
     coords = np.stack([pts[..., 0] / grid.dx, pts[..., 1] / grid.dy]).reshape(2, -1)
+    sx = (4.0 + 2.0 * np.cos(2 * np.pi * np.fft.fftfreq(grid.nx))) / 6.0
+    sy = (4.0 + 2.0 * np.cos(2 * np.pi * np.fft.rfftfreq(grid.ny))) / 6.0
+    symbol = sx[:, None] * sy[None, :]
 
-    def reference(plane):
-        coeffs = ndimage.spline_filter(plane, order=3, mode="grid-wrap")
+    def folded(hat):
+        coeffs = np.fft.irfft2(hat / symbol, s=(grid.nx, grid.ny))
         return ndimage.map_coordinates(coeffs, coords, order=3, mode="grid-wrap",
                                        prefilter=False).reshape(pts.shape[:-1])
 
@@ -139,7 +150,56 @@ def test_stage_velocity_matches_per_plane_reference():
         got = (u[..., 0], u[..., 1], grad_u[..., 0, 0], grad_u[..., 0, 1],
                grad_u[..., 1, 0], grad_u[..., 1, 1])
         for i, (value, f) in enumerate(zip(got, planes)):
-            assert np.array_equal(value, reference(f.values)), (k, i)
+            assert np.array_equal(value, folded(f.hat)), (k, i)
+            reference = _spline_reference(f.values, coords).reshape(pts.shape[:-1])
+            assert np.max(np.abs(value - reference)) <= 1e-14 * f.max_abs(), (k, i)
+
+
+@pytest.mark.parametrize("kind, forward", [(ModelKind.BOUSSINESQ, 0), (ModelKind.IIE, 8)],
+                         ids=["boussinesq", "iie"])
+def test_stage_velocity_transform_count(monkeypatch, kind, forward):
+    # Four stages of six folded planes: 24 inverse transforms and no
+    # spline_filter; an IIE velocity is physical, so each component costs
+    # one forward transform more.
+    _, stages = step_detailed(initial_state(kind, Grid(32), delta=0.1), 0.02)
+    counts = {"rfft2": 0, "irfft2": 0, "spline_filter": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(np.fft, "rfft2")
+    counted(np.fft, "irfft2")
+    counted(ndimage, "spline_filter")
+    StageVelocity(stages)
+    assert counts == {"rfft2": forward, "irfft2": 24, "spline_filter": 0}
+
+
+def test_label_grid_matches_spline_filter_reference():
+    # The label-grid planes are physical and periodic in the label (X - a
+    # and grad X); their folded interpolant equals spline_filter's.
+    grid = Grid(32)
+    omega = ScalarField.from_function(
+        grid, lambda x, y: np.sin(x) * np.sin(y) + 0.7 * np.cos(2 * x + y))
+    prov = StageVelocity([biot_savart(omega)] * 4)
+    ens = identity_ensemble(32)
+    for _ in range(10):
+        ens = advect_flow_map(ens, prov, 0.05)
+    disp = ens.x - ens.labels
+    planes = (disp[..., 0], disp[..., 1], *(ens.jac[..., a, b] for a in range(2) for b in range(2)))
+    rng = np.random.default_rng(6)
+    pts = rng.uniform(0.0, 2 * np.pi, size=(300, 2))
+    h = 2 * np.pi / ens.m
+    coords = np.stack([pts[:, 0] / h, pts[:, 1] / h])
+    values = _on_labels(ens.m, planes)(pts)
+    for value, plane in zip(values, planes):
+        reference = _spline_reference(plane, coords)
+        assert np.max(np.abs(value - reference)) <= 1e-14 * np.max(np.abs(plane))
 
 
 def test_advect_reads_provider_once_per_stage():

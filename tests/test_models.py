@@ -13,6 +13,7 @@ from fluidspan.fields import (
     same_grid,
     sobolev_norm,
 )
+from fluidspan.lagrangian import StretchingSeries, record
 from fluidspan.models import (
     _q_hat,
     FluidState,
@@ -223,6 +224,27 @@ def test_conserved_quantities_reference_values(grid):
     iie = initial_state(ModelKind.IIE, grid, delta=0.0)
     qi = conserved_quantities(iie)
     assert qi["E_model"] == pytest.approx(qi["E_kinetic"], rel=1e-14)
+
+
+def test_elsasser_vorticity_is_built_once(monkeypatch):
+    # (xi + eta) / 2 is inverse-transformed once per state, however many
+    # times a diagnostics row asks for the vorticity: velocity recovery,
+    # record and conserved_quantities share it.
+    state = step(initial_state(ModelKind.MHD_ELSASSER, Grid(32), delta=0.1), 0.01)
+    xi, eta = state.coeffs
+    omega_hat = 0.5 * (xi + eta)
+    inverse = np.fft.irfft2
+    calls = []
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.array_equal(a, omega_hat))
+        return inverse(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfft2", counting)
+    record(StretchingSeries(kind=ModelKind.MHD_ELSASSER), state)
+    conserved_quantities(state)
+    assert sum(calls) == 1
+    assert state.vorticity() is state.vorticity()
 
 
 def test_initial_state_norms(grid):
