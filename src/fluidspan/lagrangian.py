@@ -6,8 +6,9 @@ d(grad X)/dt = grad u(X) . grad X.  Velocities and their gradients are
 evaluated at particle positions with periodic bicubic interpolation
 (O(dx^4) error against the spectral fields): one PeriodicInterpolator
 takes a set of planes as rfft2 coefficients, folds the cubic B-spline
-prefilter into their one inverse transform each, and returns all of them
-per call.
+prefilter into their one inverse transform each, and per call builds each
+point's 16-node stencil once and applies it to all planes in one sparse
+product.
 A velocity provider is a callable ``provider(stage, points) -> (u, grad u)``
 read once per RK4 stage: StageVelocity interpolates the four stage
 velocities of a model step, analytic_velocity wraps closed forms.
@@ -27,7 +28,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
+from scipy import sparse
 from scipy.spatial import cKDTree
 
 from .errors import ChordArcError, InstabilityError, ReconstructionError
@@ -47,8 +48,6 @@ from .fields import (
 )
 from .models import MHD_KINDS, ModelKind
 
-_SPLINE_ORDER = 3
-
 # Relative slack of the chord-arc check M_measured <= M.
 CHORD_ARC_TOL = 1e-3
 
@@ -59,33 +58,57 @@ class PeriodicInterpolator:
     The planes come as rfft2 coefficients.  The cubic B-spline prefilter is
     diagonal in Fourier space (Unser, Aldroubi & Eden 1993): it divides by
     the spline's symbol (4 + 2 cos(2 pi k / n)) / 6 on each axis, so each
-    plane's spline coefficients cost one inverse transform.  A call maps
-    the points to grid coordinates once and returns every plane's values
-    stacked on axis 0.
+    plane's spline coefficients cost one inverse transform.  They are kept
+    point-major, one (nx * ny, planes) array.  A call builds each point's
+    stencil once, 4 B-spline weights per axis on 16 wrapped grid nodes, as
+    one sparse matrix with 16 entries per row, and one sparse product
+    evaluates every plane; values come back stacked on axis 0.
     """
 
     def __init__(self, hats, shape):
-        nx, ny = shape
+        nx, ny = self.shape = shape
         self.dx, self.dy = TWO_PI / nx, TWO_PI / ny
         sx = (4.0 + 2.0 * np.cos(TWO_PI * np.fft.fftfreq(nx))) / 6.0
         sy = (4.0 + 2.0 * np.cos(TWO_PI * np.fft.rfftfreq(ny))) / 6.0
         symbol = sx[:, None] * sy[None, :]
-        self._coeffs = [np.fft.irfft2(h / symbol, s=shape) for h in hats]
+        coeffs = np.empty((nx, ny, len(hats)))
+        for i, h in enumerate(hats):
+            coeffs[..., i] = np.fft.irfft2(h / symbol, s=shape)
+        self._coeffs = coeffs.reshape(nx * ny, len(hats))
 
     def __call__(self, points):
         """Evaluate at points of shape (..., 2); returns (planes, ...)."""
         pts = np.asarray(points)
-        coords = np.stack([pts[..., 0] / self.dx, pts[..., 1] / self.dy]).reshape(2, -1)
-        out = np.empty((len(self._coeffs), coords.shape[1]))
-        for c, o in zip(self._coeffs, out):
-            ndimage.map_coordinates(c, coords, output=o, order=_SPLINE_ORDER,
-                                    mode="grid-wrap", prefilter=False)
-        return out.reshape((len(self._coeffs),) + pts.shape[:-1])
+        nx, ny = self.shape
+        wx, ix = _stencil((pts[..., 0] / self.dx).ravel(), nx)
+        wy, iy = _stencil((pts[..., 1] / self.dy).ravel(), ny)
+        n = wx.shape[1]
+        # (16, n) products, transposed so each point's 16 entries are one CSR row
+        weights = (wx[:, None] * wy[None, :]).reshape(16, n).T.ravel()
+        nodes = (ix[:, None] * ny + iy[None, :]).reshape(16, n).T.ravel()
+        rows = np.arange(0, 16 * n + 1, 16, dtype=np.int32)
+        stencil = sparse.csr_array((weights, nodes, rows), shape=(n, nx * ny))
+        out = stencil @ self._coeffs
+        return out.T.reshape((out.shape[1],) + pts.shape[:-1])
+
+
+def _stencil(c, n):
+    """Cubic B-spline weights (4, k) and wrapped node indices (4, k) at grid
+    coordinates c on a periodic axis of n nodes: nodes floor(c) - 1 ..
+    floor(c) + 2, weights of the fractional part t = c - floor(c)."""
+    base = np.floor(c)
+    t = c - base
+    s = 1.0 - t
+    weights = np.stack([s * s * s, (t * t * (t - 2.0)) * 3.0 + 4.0,
+                        (s * s * (s - 2.0)) * 3.0 + 4.0, t * t * t]) / 6.0
+    nodes = (base.astype(np.int32) + np.arange(-1, 3, dtype=np.int32)[:, None]) % n
+    return weights, nodes
 
 
 def _split_velocity(planes):
     """(u, grad u) with shapes (..., 2) and (..., 2, 2) from the stacked
-    planes (u1, u2, d_x u1, d_y u1, d_x u2, d_y u2)."""
+    planes (u1, u2, d_x u1, d_y u1, d_x u2, d_y u2); both are views of the
+    point-major values."""
     vals = np.moveaxis(planes, 0, -1)
     return vals[..., :2], vals[..., 2:].reshape(vals.shape[:-1] + (2, 2))
 
@@ -162,7 +185,7 @@ def advect_flow_map(ens, provider, dt):
 
     def f(stage, x, g):
         dx, gu = provider(stage, np.mod(x, TWO_PI))
-        return dx, np.einsum("...ab,...bc->...ac", gu, g)
+        return dx, _matmul_2x2(gu, g)
 
     k1x, k1g = f(0, x0, g0)
     k2x, k2g = f(1, x0 + 0.5 * dt * k1x, g0 + 0.5 * dt * k1g)
@@ -175,6 +198,15 @@ def advect_flow_map(ens, provider, dt):
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(g))):
         raise InstabilityError(f"non-finite flow map at t = {t}")
     return FlowMapEnsemble(labels=ens.labels, x=x, jac=g, t=t)
+
+
+def _matmul_2x2(a, b):
+    """a . b for stacks of 2x2 matrices, one plane product per entry."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    for i in range(2):
+        for j in range(2):
+            out[..., i, j] = a[..., i, 0] * b[..., 0, j] + a[..., i, 1] * b[..., 1, j]
+    return out
 
 
 def jacobian_norms(ens):
