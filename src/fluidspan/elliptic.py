@@ -33,9 +33,9 @@ from .errors import ConvergenceError, VacuumError
 from .fields import (
     ScalarField,
     VectorField,
-    _gradient_values,
     biot_savart,
     derivative_hat,
+    gradient_values,
     same_grid,
     to_physical,
 )
@@ -165,7 +165,7 @@ def recover_velocity_detailed(rho, omega, tol=1e-10, q0=None):
             f"{residual:.3e} (tol {tol:.1e})",
             report,
         )
-    qx, qy = _gradient_values(grid, q_hat)
+    qx, qy = gradient_values(grid, q_hat)
     u = VectorField(ScalarField(grid, mu * (k_omega.u.values + qx)),
                     ScalarField(grid, mu * (k_omega.v.values + qy)))
     return u, q_hat, report

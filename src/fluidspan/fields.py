@@ -55,8 +55,11 @@ class Grid:
         self.KX = np.fft.fftfreq(self.nx, d=1.0 / self.nx)[:, None]
         self.KY = np.fft.rfftfreq(self.ny, d=1.0 / self.ny)[None, :]
         self.K2 = self.KX**2 + self.KY**2
-        self._k2_safe = self.K2.copy()
-        self._k2_safe[0, 0] = 1.0
+        # The inverse Laplacian's multiplier -1/K^2, with the mean mode zeroed.
+        k2_safe = self.K2.copy()
+        k2_safe[0, 0] = 1.0
+        self.neg_inv_k2 = -1.0 / k2_safe
+        self.neg_inv_k2[0, 0] = 0.0
 
         # Odd-order derivative multipliers zero the Nyquist mode, which has
         # no well-defined sign on an even grid.
@@ -225,9 +228,7 @@ def derivative_hat(grid, hat, a, b):
 
 def inverse_laplacian_hat(grid, hat):
     """Coefficients of the mean-zero g with Laplace(g) = f - mean(f)."""
-    out = -hat / grid._k2_safe
-    out[0, 0] = 0.0
-    return out
+    return grid.neg_inv_k2 * hat
 
 
 def velocity_hat(grid, omega_hat):
@@ -241,20 +242,27 @@ def gradient_hat(grid, hat):
     return derivative_hat(grid, hat, 1, 0), derivative_hat(grid, hat, 0, 1)
 
 
-def _gradient_values(grid, hat):
+def gradient_values(grid, hat):
+    """(d_x f, d_y f) on the grid: two inverse transforms."""
     return tuple(to_physical(grid, h) for h in gradient_hat(grid, hat))
+
+
+def derivative_planes(grid, hat, j):
+    """The order-j derivatives d^alpha f on the grid, alpha = (j, 0), (j-1, 1),
+    ..., (0, j): one inverse transform each."""
+    return [to_physical(grid, derivative_hat(grid, hat, a, j - a)) for a in range(j, -1, -1)]
 
 
 def advection_hat(grid, u1, u2, f_hat):
     """Dealiased coefficients of u . grad f for physical velocity components."""
-    fx, fy = _gradient_values(grid, f_hat)
+    fx, fy = gradient_values(grid, f_hat)
     return product_hat(grid, u1 * fx + u2 * fy)
 
 
 def bracket_hat(grid, f_hat, g_hat):
     """Dealiased coefficients of {f, g} = grad^perp f . grad g."""
-    fx, fy = _gradient_values(grid, f_hat)
-    gx, gy = _gradient_values(grid, g_hat)
+    fx, fy = gradient_values(grid, f_hat)
+    gx, gy = gradient_values(grid, g_hat)
     return product_hat(grid, fx * gy - fy * gx)
 
 
@@ -365,10 +373,7 @@ def derivative_orders(fields, k, reduce):
     grid = same_grid(*fields)
     out = [reduce([tuple(f.values for f in fields)])]
     for j in range(1, k + 1):
-        out.append(reduce([
-            tuple(to_physical(grid, derivative_hat(grid, f.hat, a, j - a)) for f in fields)
-            for a in range(j, -1, -1)
-        ]))
+        out.append(reduce(list(zip(*(derivative_planes(grid, f.hat, j) for f in fields)))))
     return out
 
 
@@ -377,13 +382,6 @@ def lp_terms(planes, p, cell_area):
     of a vector field enter through their pointwise Euclidean magnitude."""
     return [lp_norm(c[0] if len(c) == 1 else np.sqrt(sum(x**2 for x in c)), p, cell_area)
             for c in planes]
-
-
-def sobolev_terms(fields, k, p):
-    """Per order j = 0..k, the list of ||d^alpha f||_p over |alpha| = j, from
-    one derivative table of ``fields`` (see :func:`lp_terms`)."""
-    area = fields[0].grid.cell_area
-    return derivative_orders(fields, k, lambda planes: lp_terms(planes, p, area))
 
 
 def sobolev_norm(f, k, p):
@@ -396,7 +394,8 @@ def sobolev_norm(f, k, p):
         raise ParameterError(f"Sobolev norms are only defined here for p > 2, got p = {p}")
     if k < 0 or k > 4:
         raise ParameterError(f"k must lie in 0..4, got {k}")
-    return sum(t for terms in sobolev_terms((f,), k, p) for t in terms)
+    orders = derivative_orders((f,), k, lambda planes: lp_terms(planes, p, f.grid.cell_area))
+    return sum(t for terms in orders for t in terms)
 
 
 def operator_norm_2x2(a11, a12, a21, a22):

@@ -35,14 +35,16 @@ from .errors import ChordArcError, InstabilityError, ReconstructionError
 from .fields import (
     ScalarField,
     derivative_orders,
+    derivative_planes,
     grad_layers,
     gradient_hat,
+    gradient_values,
+    inverse_laplacian_hat,
     kato_quotient,
     lp_norm,
     lp_terms,
     operator_norm_2x2,
     sobolev_norm,
-    sobolev_terms,
     to_physical,
     TWO_PI,
 )
@@ -336,35 +338,81 @@ def exp_or_inf(x):
 
 
 def _total(orders, k):
-    """W^{k,p} norm from the per-order L^p terms of fields.sobolev_terms."""
+    """W^{k,p} norm from per-order lists of L^p terms (orders 0..k)."""
     return sum(t for terms in orders[:k + 1] for t in terms)
+
+
+def _perp_planes(planes):
+    """The order-j planes of grad^perp f = (-f_y, f_x), as the pairs
+    (d^alpha f_y, d^alpha f_x) for alpha = (j, 0), ..., (0, j), from f's
+    order-(j + 1) planes.
+
+    The first component is left unnegated: a row reads it only through
+    squares, in |v| and in the squared determinant of
+    fields.operator_norm_2x2, so its sign drops out exactly.
+    """
+    return [(planes[a + 1], planes[a]) for a in range(len(planes) - 1)]
+
+
+def _grad_laplacian(planes):
+    """grad Lap f = (f_xxx + f_xyy, f_xxy + f_yyy) from f's order-3 planes."""
+    return planes[0] + planes[2], planes[1] + planes[3]
 
 
 def record(series, state, ens=None):
     """Append one diagnostics row at the state's time.
 
-    Each field is differentiated once (fields.derivative_orders) and every
-    norm of the row is read off those planes: u to order 2 gives
-    ||u||_{2,p}, ||grad u||_inf and ||grad u||_{1,p}; omega to order 1
-    gives ||omega||_{1,p} and, with ||omega||_inf, the Kato ratio; rho to
-    order 2 gives ||rho||_{2,p}; for MHD, B to order 2 gives ||B||_{2,p}
-    and xi, eta to order 2 give Y (orders <= 1) and Z (orders <= 2).  The
-    stretching columns are appended and chord-arc checked before the
+    Every norm of the row is read off derivative planes of the potentials,
+    each plane one inverse transform built once.  For the Biot-Savart
+    models u = grad^perp psi with psi = Lap^{-1} omega, so psi's order-2 and
+    order-3 planes give u's table to order 2 (||u||_{2,p}, ||grad u||_inf,
+    ||grad u||_{1,p}) and grad omega = grad Lap psi (||omega||_{1,p} and,
+    with ||omega||_inf, the Kato ratio).  IIE's u is not K omega and is
+    divergence-free only to the solver tolerance, so it keeps u's own
+    table and omega's gradient.  rho's table to order 2 gives
+    ||rho||_{2,p}.  For MHD, B = grad^perp rho and J = Lap rho: B itself
+    (cached on the state) holds rho's order-1 planes, and rho's order-2 and
+    order-3 planes give B's table (||B||_{2,p}), J and grad J; then
+    xi, eta = omega +- J take their orders <= 1 from those sums and their
+    order 2 from their own coefficients, for Y (orders <= 1) and Z
+    (orders <= 2).
+
+    Odd-order multipliers zero the Nyquist mode and even-order ones do not,
+    so a plane read off a potential (psi_yy for d_y u1) and the same plane
+    of the derived field differ on the Nyquist row and column.  The RK4
+    tendencies are dealiased, so the fields carry no Nyquist content and
+    the two agree to round-off.
+
+    The stretching columns are appended and chord-arc checked before the
     memory columns are.
     """
     if ens is not None and abs(ens.t - state.t) > 1e-12 * max(1.0, abs(state.t)):
         raise InstabilityError(
             f"ensemble time {ens.t} does not match state time {state.t}")
-    p, g = series.p, state.grid
+    p, g, kind = series.p, state.grid, state.kind
+    area = g.cell_area
+
+    def norms(*planes):
+        return [lp_norm(c, p, area) for c in planes]
 
     def velocity_order(planes):
         layers = grad_layers(planes)
         sup = float(np.max(layers[0])) if len(planes) == 2 else None  # order 1: grad u
-        return (lp_terms(planes, p, g.cell_area), sup,
-                [lp_norm(layer, p, g.cell_area) for layer in layers])
+        return lp_terms(planes, p, area), sup, norms(*layers)
 
     u = state.velocity()
-    (u0, _, _), (u1, g_m, n1), (u2, _, n2) = derivative_orders((u.u, u.v), 2, velocity_order)
+    omega = state.vorticity()
+    if kind is ModelKind.IIE:
+        orders = derivative_orders((u.u, u.v), 2, velocity_order)
+        grad_omega = gradient_values(g, omega.hat)
+    else:
+        psi = inverse_laplacian_hat(g, omega.hat)
+        orders = [velocity_order([(u.u.values, u.v.values)])]
+        for j in (2, 3):  # u's orders 1 and 2
+            psi_planes = derivative_planes(g, psi, j)
+            orders.append(velocity_order(_perp_planes(psi_planes)))
+        grad_omega = _grad_laplacian(psi_planes)
+    (u0, _, _), (u1, g_m, n1), (u2, _, n2) = orders
     g_n = sum(n1 + n2)
 
     if series.t:
@@ -394,32 +442,43 @@ def record(series, state, ens=None):
             f"measured stretching {measured:.6f} exceeds M = {m_now:.6f} "
             f"at t = {state.t}")
 
-    omega = state.vorticity()
     omega_inf = omega.max_abs()
-    omega_w1p = sobolev_norm(omega, 1, p)
+    omega_w1p = sum(norms(omega.values, *grad_omega))
     series.omega_inf.append(omega_inf)
     series.omega_w1p.append(omega_w1p)
     series.u_inf.append(u.max_abs())
     series.u_w2p.append(sum(u0 + u1 + u2))
     series.kato.append(kato_quotient(g_m, omega_inf, omega_w1p))
     rho = state.density()
-    series.rho_w2p.append(sobolev_norm(rho, 2, p) if rho is not None else np.nan)
 
-    kind = state.kind
     if kind in MHD_KINDS:
         b = state.magnetic_field()
-        b_norm = _total(sobolev_terms((b.u, b.v), 2, p), 2)
+        rho_planes = derivative_planes(g, rho.hat, 2)
+        current = rho_planes[0] + rho_planes[2]
+        # rho's order-1 planes are (rho_x, rho_y) = (B2, -B1)
+        series.rho_w2p.append(_total([norms(rho.values), norms(b.v.values, b.u.values),
+                                      norms(*rho_planes)], 2))
+        b_orders = [lp_terms([(b.u.values, b.v.values)], p, area),
+                    lp_terms(_perp_planes(rho_planes), p, area)]
+        rho_planes = derivative_planes(g, rho.hat, 3)
+        b_orders.append(lp_terms(_perp_planes(rho_planes), p, area))
+        grad_current = _grad_laplacian(rho_planes)
+        b_norm = _total(b_orders, 2)
         series.b_w2p.append(b_norm)
         if kind is ModelKind.MHD_ELSASSER:
-            xi, eta = state.xi, state.eta
+            xi_eta = state.coeffs
         else:
             j_hat = state.current_hat()
-            xi, eta = (ScalarField.from_hat(g, omega.hat + s * j_hat) for s in (1.0, -1.0))
-        xi_terms, eta_terms = sobolev_terms((xi,), 2, p), sobolev_terms((eta,), 2, p)
-        series.y.append(_total(xi_terms, 1) + _total(eta_terms, 1))
-        series.z.append(_total(xi_terms, 2) + _total(eta_terms, 2))
+            xi_eta = (omega.hat + j_hat, omega.hat - j_hat)
+        terms = [[norms(omega.values + s * current),
+                  norms(*(w + s * j for w, j in zip(grad_omega, grad_current))),
+                  norms(*derivative_planes(g, hat, 2))]
+                 for s, hat in zip((1.0, -1.0), xi_eta)]
+        series.y.append(sum(_total(t, 1) for t in terms))
+        series.z.append(sum(_total(t, 2) for t in terms))
         _accumulate(series, "q", series.u_w2p[-1] * b_norm)
     else:
+        series.rho_w2p.append(sobolev_norm(rho, 2, p) if rho is not None else np.nan)
         series.b_w2p.append(np.nan)
         if kind is ModelKind.BOUSSINESQ:
             _accumulate(series, "y", m_now + n_now)

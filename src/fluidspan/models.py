@@ -21,10 +21,13 @@ The prognostic fields travel through the RK4 stages as one tuple of rfft2
 coefficient arrays per model: (omega,) for Euler, (xi, eta) for the
 Elsasser form and (omega, rho) otherwise.  Each stage evaluates the
 tendency pseudo-spectrally with the kernels of :mod:`fluidspan.fields`:
-derivatives are multipliers, and every quadratic term takes one forward
-transform masked by the grid's 2/3 rule.  Time stepping is classical RK4
-with a CFL-limited step; nothing is renormalized, so every conservation
-statement is a measured output.
+derivatives are multipliers, every physical plane a stage needs is built
+once (grad rho of the MHD form is read off the state's B = grad^perp rho,
+the Elsasser coupling takes four planes of the potentials), and each
+field's quadratic terms are summed on the grid and brought back by one
+forward transform masked by the grid's 2/3 rule.  Time stepping is
+classical RK4 with a CFL-limited step; nothing is renormalized, so every
+conservation statement is a measured output.
 """
 
 from __future__ import annotations
@@ -39,10 +42,9 @@ from .errors import InstabilityError, ParameterError, VacuumError
 from .fields import (
     ScalarField,
     VectorField,
-    advection_hat,
     biot_savart,
-    bracket_hat,
     derivative_hat,
+    gradient_values,
     inverse_laplacian_hat,
     invert_laplacian,
     laplacian,
@@ -89,11 +91,11 @@ class FluidState:
     The fields are carried as ``coeffs``, one tuple of rfft2 coefficient
     arrays ordered as FIELD_NAMES[kind].  ``omega``, ``rho``, ``xi`` and
     ``eta`` return them as ScalarFields (None for a field the model does
-    not carry); these, the velocity and the vorticity are computed at most
-    once per state.  Other derived fields (density, current, magnetic
-    field) are not kept, so a state holds no more arrays than its fields,
-    velocity and vorticity (one extra plane for Elsasser).  ``mass_mean``
-    is the mean of rho, fixed by the initial data.
+    not carry); these, the velocity, the vorticity, and for the MHD models
+    the magnetic field B and the density are computed at most once per
+    state, whoever asks first (cfl, an RK4 stage, a diagnostics row).  The
+    current is not kept.  ``mass_mean`` is the mean of rho, fixed by the
+    initial data.
 
     Confined to one integration thread; ``aux`` carries the per-run
     elliptic warm start (``q_prev``, the last potential's rfft2
@@ -137,14 +139,18 @@ class FluidState:
     xi = property(lambda self: self._field("xi"))
     eta = property(lambda self: self._field("eta"))
 
+    def _cached(self, name, build):
+        if name not in self._cache:
+            self._cache[name] = build()
+        return self._cache[name]
+
     def vorticity(self):
-        """Vorticity (computed once per state; for Elsasser, (xi + eta) / 2)."""
+        """Vorticity (for Elsasser, (xi + eta) / 2)."""
         if self.kind is not ModelKind.MHD_ELSASSER:
             return self.omega
-        if "vorticity" not in self._cache:
-            xi, eta = self.coeffs
-            self._cache["vorticity"] = ScalarField.from_hat(self.grid, 0.5 * (xi + eta))
-        return self._cache["vorticity"]
+        xi, eta = self.coeffs
+        return self._cached("vorticity",
+                            lambda: ScalarField.from_hat(self.grid, 0.5 * (xi + eta)))
 
     def current_hat(self):
         """Coefficients of the current J = Lap(rho) of the MHD models; None
@@ -167,23 +173,25 @@ class FluidState:
     def density(self):
         if self.kind is not ModelKind.MHD_ELSASSER:
             return self.rho
-        return ScalarField.from_hat(self.grid, self._density_hat())
+        return self._cached("density",
+                            lambda: ScalarField.from_hat(self.grid, self._density_hat()))
 
     def magnetic_field(self):
         """B = grad^perp rho of the MHD models, built from the coefficients
         (two inverse transforms); None for the others."""
         if self.kind not in MHD_KINDS:
             return None
-        g = self.grid
-        rho = self._density_hat()
-        return VectorField(ScalarField.from_hat(g, -derivative_hat(g, rho, 0, 1)),
-                           ScalarField.from_hat(g, derivative_hat(g, rho, 1, 0)))
+
+        def build():
+            g = self.grid
+            rho = self._density_hat()
+            return VectorField(ScalarField.from_hat(g, -derivative_hat(g, rho, 0, 1)),
+                               ScalarField.from_hat(g, derivative_hat(g, rho, 1, 0)))
+        return self._cached("magnetic_field", build)
 
     def velocity(self):
-        """Recovered velocity (computed once per state)."""
-        if "velocity" not in self._cache:
-            self._cache["velocity"] = self._recover_velocity()
-        return self._cache["velocity"]
+        """Recovered velocity."""
+        return self._cached("velocity", self._recover_velocity)
 
     def _recover_velocity(self):
         if self.kind is ModelKind.IIE:
@@ -197,17 +205,28 @@ class FluidState:
         return biot_savart(self.vorticity())
 
 
-def _q_hat(grid, omega_hat, current_hat):
-    """Dealiased coefficients of the MHD coupling Q(omega, J) = -2 sum_{jk}
-    d_j u_k d_j d_k phi, u = K omega, phi = Lap^{-1} J: the commutator of the
-    Laplacian with transport, which makes the (omega, J) system identical to
-    the (omega, rho) one."""
+def _coupling(grid, omega_hat, current_hat):
+    """The MHD coupling Q(omega, J) = -2 sum_{jk} d_j u_k d_j d_k phi on the
+    grid, u = K omega = grad^perp psi, psi = Lap^{-1} omega, phi = Lap^{-1} J:
+    the commutator of the Laplacian with transport, which makes the
+    (omega, J) system identical to the (omega, rho) one.
+
+    Written out, Q = 2 (psi_xy (phi_xx - phi_yy) - phi_xy (psi_xx - psi_yy)),
+    so it takes four inverse transforms: f_xy and f_xx - f_yy, whose
+    multiplier is ky^2 - kx^2, for f = psi and phi.
+    """
     psi = inverse_laplacian_hat(grid, omega_hat)
     phi = inverse_laplacian_hat(grid, current_hat)
-    psi_xx, psi_yy, psi_xy, phi_xx, phi_yy, phi_xy = (
-        to_physical(grid, derivative_hat(grid, h, a, b))
-        for h in (psi, phi) for a, b in ((2, 0), (0, 2), (1, 1)))
-    return product_hat(grid, -2.0 * (psi_xy * (phi_yy - phi_xx) + phi_xy * (psi_xx - psi_yy)))
+    saddle = grid.KY**2 - grid.KX**2
+    psi_xy, phi_xy = (to_physical(grid, derivative_hat(grid, h, 1, 1)) for h in (psi, phi))
+    psi_d, phi_d = (to_physical(grid, saddle * h) for h in (psi, phi))
+    return 2.0 * (psi_xy * phi_d - phi_xy * psi_d)
+
+
+def _q_hat(grid, omega_hat, current_hat):
+    """Dealiased coefficients of the MHD coupling Q(omega, J) (see
+    :func:`_coupling`)."""
+    return product_hat(grid, _coupling(grid, omega_hat, current_hat))
 
 
 def elsasser_transform(omega, current):
@@ -224,33 +243,47 @@ def elsasser_inverse(xi, eta):
 def _tendency(state):
     """rfft2 coefficients of the model tendency, ordered like state.coeffs.
 
-    Every quadratic term is dealiased with the grid's 2/3 rule.
+    Each field's quadratic terms are summed on the grid and dealiased
+    together by one masked forward transform (fields.product_hat), so a
+    stage costs one forward transform per field.  Every physical plane is
+    built once: the velocity and B come from the state's cache, and the MHD
+    form reads grad rho as (B2, -B1).
     """
     g = state.grid
+    kind = state.kind
     u = state.velocity()
     u1, u2 = u.u.values, u.v.values
-
-    if state.kind is ModelKind.MHD_ELSASSER:
-        xi, eta = state.coeffs
+    if kind in MHD_KINDS:
         b = state.magnetic_field()
         b1, b2 = b.u.values, b.v.values
-        coupling = _q_hat(g, 0.5 * (xi + eta), 0.5 * (xi - eta))
-        return (-advection_hat(g, u1 - b1, u2 - b2, xi) + coupling,
-                -advection_hat(g, u1 + b1, u2 + b2, eta) - coupling)
+
+    if kind is ModelKind.MHD_ELSASSER:
+        xi, eta = state.coeffs
+        (xi_x, xi_y), (eta_x, eta_y) = gradient_values(g, xi), gradient_values(g, eta)
+        q = _coupling(g, state.vorticity().hat, state.current_hat())
+        return (product_hat(g, q - (u1 - b1) * xi_x - (u2 - b2) * xi_y),
+                product_hat(g, -q - (u1 + b1) * eta_x - (u2 + b2) * eta_y))
 
     omega = state.coeffs[0]
-    domega = -advection_hat(g, u1, u2, omega)
-    if state.kind is ModelKind.EULER:
-        return (domega,)
+    omega_x, omega_y = gradient_values(g, omega)
+    transport = u1 * omega_x + u2 * omega_y  # u . grad omega
+    if kind is ModelKind.EULER:
+        return (-product_hat(g, transport),)
     rho = state.coeffs[1]
-    if state.kind is ModelKind.BOUSSINESQ:
+    if kind is ModelKind.BOUSSINESQ:
         # {dE/drho, rho} with dE/drho = -x2 reduces to the periodic d_x rho.
-        domega = domega + derivative_hat(g, rho, 1, 0)
-    elif state.kind is ModelKind.MHD_VORTICITY_CURRENT:
-        domega = domega + bracket_hat(g, rho, -g.K2 * rho)
+        domega = -product_hat(g, transport) + derivative_hat(g, rho, 1, 0)
+        rho_x, rho_y = gradient_values(g, rho)
+    elif kind is ModelKind.MHD_VORTICITY_CURRENT:
+        # dE/drho = -J: {-J, rho} = {rho, J} = B . grad J, and grad rho = (B2, -B1)
+        j_x, j_y = gradient_values(g, state.current_hat())
+        domega = product_hat(g, b1 * j_x + b2 * j_y - transport)
+        return domega, -product_hat(g, u1 * b2 - u2 * b1)
     else:  # IIE: dE/drho = |u|^2 / 2
-        domega = domega + bracket_hat(g, product_hat(g, 0.5 * (u1**2 + u2**2)), rho)
-    return domega, -advection_hat(g, u1, u2, rho)
+        e_x, e_y = gradient_values(g, product_hat(g, 0.5 * (u1**2 + u2**2)))
+        rho_x, rho_y = gradient_values(g, rho)
+        domega = product_hat(g, e_x * rho_y - e_y * rho_x - transport)
+    return domega, -product_hat(g, u1 * rho_x + u2 * rho_y)
 
 
 def rhs(state):

@@ -13,6 +13,7 @@ from fluidspan.fields import (
     dealias,
     divergence,
     grad_u_inf_norm,
+    inverse_laplacian_hat,
     invert_laplacian,
     kato_ratio,
     lp_norm,
@@ -151,6 +152,20 @@ def test_invert_laplacian_eigenfunctions(grid):
     f2 = ScalarField.from_function(grid, lambda x, y: np.sin(x) * np.sin(y))
     g2 = invert_laplacian(f2)
     assert np.max(np.abs(g2.values + 0.5 * np.sin(grid.X) * np.sin(grid.Y))) < 1e-12
+
+
+@pytest.mark.parametrize("shape", [(32, 32), (128, 128), (24, 40)])
+def test_inverse_laplacian_multiply_matches_division(shape):
+    # The precomputed -1/K^2 plane gives the same bits as dividing by K^2
+    # (numpy's complex / real multiplies by the reciprocal).
+    g = Grid(*shape)
+    rng = np.random.default_rng(3)
+    hat = rng.normal(size=g.K2.shape) + 1j * rng.normal(size=g.K2.shape)
+    k2 = g.K2.copy()
+    k2[0, 0] = 1.0
+    division = -hat / k2
+    division[0, 0] = 0.0
+    assert np.array_equal(inverse_laplacian_hat(g, hat), division)
 
 
 def test_invert_laplacian_rejects_nonzero_mean(grid):

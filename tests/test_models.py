@@ -1,22 +1,29 @@
 import numpy as np
 import pytest
 
+from fluidspan import models
 from fluidspan.errors import InstabilityError, ParameterError
 from fluidspan.fields import (
     Grid,
     ScalarField,
     advection,
+    advection_hat,
     biot_savart,
+    bracket_hat,
+    derivative_hat,
     laplacian,
     lp_norm,
     poisson_bracket,
+    product_hat,
     same_grid,
     sobolev_norm,
 )
 from fluidspan.lagrangian import StretchingSeries, record
 from fluidspan.models import (
     _q_hat,
+    _tendency,
     FluidState,
+    MHD_KINDS,
     ModelKind,
     cfl_limit,
     conserved_quantities,
@@ -28,6 +35,7 @@ from fluidspan.models import (
     initial_state,
     rhs,
     step,
+    step_detailed,
     to_elsasser,
 )
 
@@ -51,6 +59,61 @@ def mhd_vorticity_current_tendencies(omega, rho):
     domega = -advection(u, omega) + poisson_bracket(rho, current)
     dj = -advection(u, current) + poisson_bracket(rho, omega) + q_operator(omega, current)
     return domega, dj
+
+
+def reference_tendency(state):
+    """Per-term model tendency: each quadratic term (advection_hat,
+    bracket_hat, _q_hat) dealiased on its own and the terms summed as
+    coefficients."""
+    g = state.grid
+    u = state.velocity()
+    u1, u2 = u.u.values, u.v.values
+    if state.kind is ModelKind.MHD_ELSASSER:
+        xi, eta = state.coeffs
+        b = state.magnetic_field()
+        b1, b2 = b.u.values, b.v.values
+        coupling = _q_hat(g, 0.5 * (xi + eta), 0.5 * (xi - eta))
+        return (-advection_hat(g, u1 - b1, u2 - b2, xi) + coupling,
+                -advection_hat(g, u1 + b1, u2 + b2, eta) - coupling)
+    omega = state.coeffs[0]
+    domega = -advection_hat(g, u1, u2, omega)
+    if state.kind is ModelKind.EULER:
+        return (domega,)
+    rho = state.coeffs[1]
+    if state.kind is ModelKind.BOUSSINESQ:
+        domega = domega + derivative_hat(g, rho, 1, 0)
+    elif state.kind is ModelKind.MHD_VORTICITY_CURRENT:
+        domega = domega + bracket_hat(g, rho, -g.K2 * rho)
+    else:
+        domega = domega + bracket_hat(g, product_hat(g, 0.5 * (u1**2 + u2**2)), rho)
+    return domega, -advection_hat(g, u1, u2, rho)
+
+
+def stepped_state(kind, n):
+    """A state one RK4 step into a run, with nothing derived cached yet."""
+    delta_norm = "rho_minus_1_W3p" if kind in MHD_KINDS else "rho_minus_1_W2p"
+    state = initial_state(kind, Grid(n), delta=0.05, delta_norm=delta_norm,
+                          seed_profile="helical")
+    state, _ = step_detailed(state, 0.01)
+    return state
+
+
+@pytest.fixture
+def fft_counts(monkeypatch):
+    """Counts of numpy.fft.rfft2 and irfft2 calls from here on."""
+    counts = {"rfft2": 0, "irfft2": 0}
+
+    def counting(name):
+        fn = getattr(np.fft, name)
+
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in list(counts):
+        monkeypatch.setattr(np.fft, name, counting(name))
+    return counts
 
 
 @pytest.fixture(scope="module")
@@ -293,3 +356,92 @@ def test_energy_conservation_smoke(grid):
     rp1 = lp_norm(state.rho.values, 4, grid.cell_area)
     assert abs(e1 - e0) / abs(e0) <= 1e-6
     assert abs(rp1 - rp0) / rp0 <= 1e-8
+
+
+@pytest.mark.parametrize("n", [32, 128])
+@pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
+def test_tendency_matches_per_term_reference(kind, n):
+    # One masked forward transform per field sums the same dealiased terms
+    # as the per-term reference; only the rounding of the sum may differ.
+    # Euler and Boussinesq sum nothing new, so their bits must not move.
+    state = stepped_state(kind, n)
+    new, ref = _tendency(state), reference_tendency(state)
+    for d_new, d_ref in zip(new, ref, strict=True):
+        if kind in (ModelKind.EULER, ModelKind.BOUSSINESQ):
+            assert np.array_equal(d_new, d_ref)
+        else:
+            assert np.max(np.abs(d_new - d_ref)) <= 1e-14 * np.max(np.abs(d_ref))
+
+
+# Inverse / forward transforms of one RK4 step after cfl_limit, as the
+# harness steps: the velocity, and for MHD B, are cached from the CFL check.
+# A stage costs its state's velocity (3 inverse, none at stage 1), B for MHD
+# (2, none at stage 1), the gradient of each transported field (2 each;
+# MHD-vc reads grad rho off B), grad J (MHD-vc) or the coupling's four
+# planes (Elsasser), and one masked forward transform per field.
+STEP_TRANSFORMS = {
+    ModelKind.EULER: (17, 4),
+    ModelKind.BOUSSINESQ: (25, 8),
+    ModelKind.MHD_VORTICITY_CURRENT: (31, 8),
+    ModelKind.MHD_ELSASSER: (47, 8),
+}
+
+
+@pytest.mark.parametrize("kind", list(STEP_TRANSFORMS), ids=lambda k: k.value)
+def test_step_transform_count(kind, fft_counts):
+    state = stepped_state(kind, 32)
+    models.cfl_limit(state)
+    fft_counts.update(rfft2=0, irfft2=0)
+    step_detailed(state, 0.01, check_cfl=False)
+    assert (fft_counts["irfft2"], fft_counts["rfft2"]) == STEP_TRANSFORMS[kind]
+
+
+def test_iie_step_transforms_outside_the_solve(fft_counts, monkeypatch):
+    # The IIE tendency's share of a step, the elliptic solves excluded (their
+    # cost per iteration is pinned in test_elliptic): per stage, omega and
+    # rho on the grid for the solve (2 inverse, none at stage 1), grad omega,
+    # grad rho and grad(|u|^2 / 2) (6 inverse), and |u|^2 / 2 plus one masked
+    # product per field (3 forward).
+    state = stepped_state(ModelKind.IIE, 32)
+    models.cfl_limit(state)
+    solve = models.recover_velocity_detailed
+    inside = {"rfft2": 0, "irfft2": 0}
+
+    def counted_solve(*args, **kwargs):
+        before = dict(fft_counts)
+        out = solve(*args, **kwargs)
+        for name in inside:
+            inside[name] += fft_counts[name] - before[name]
+        return out
+
+    monkeypatch.setattr(models, "recover_velocity_detailed", counted_solve)
+    fft_counts.update(rfft2=0, irfft2=0)
+    step_detailed(state, 0.01, check_cfl=False)
+    assert inside["irfft2"] > 0
+    outside = (fft_counts["irfft2"] - inside["irfft2"], fft_counts["rfft2"] - inside["rfft2"])
+    assert outside == (30, 12)
+
+
+# Inverse / forward transforms of one diagnostics row with the velocity
+# cached.  Biot-Savart models: psi's order-2 and order-3 planes (7); rho on
+# the grid and its table to order 2 (1 + 5); for MHD, B (2), rho's order-2
+# and order-3 planes (7) and xi's and eta's order-2 planes (6) instead.
+# IIE keeps u's own table to order 2 (10, and 2 forward for u's
+# coefficients: the solve returns u on the grid), grad omega (2) and rho's
+# table (5; the solve already put rho on the grid).
+ROW_TRANSFORMS = {
+    ModelKind.EULER: (7, 0),
+    ModelKind.BOUSSINESQ: (13, 0),
+    ModelKind.MHD_VORTICITY_CURRENT: (23, 0),
+    ModelKind.MHD_ELSASSER: (23, 0),
+    ModelKind.IIE: (17, 2),
+}
+
+
+@pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
+def test_record_transform_count(kind, fft_counts):
+    state = stepped_state(kind, 32)
+    state.velocity()
+    fft_counts.update(rfft2=0, irfft2=0)
+    record(StretchingSeries(kind=kind), state)
+    assert (fft_counts["irfft2"], fft_counts["rfft2"]) == ROW_TRANSFORMS[kind]
