@@ -12,6 +12,7 @@ import numpy as np
 from fluidspan.fields import Grid, lp_norm
 from fluidspan.lagrangian import (
     DuhamelHistory,
+    StageBuffers,
     StageVelocity,
     StretchingSeries,
     advect_flow_map,
@@ -40,13 +41,14 @@ print(f"chord-arc bound: measured {max(fwd, inv):.4f} <= e = {np.e:.4f}")
 grid = Grid(96)
 state = initial_state(ModelKind.BOUSSINESQ, grid, delta=0.1)
 ens = identity_ensemble(96)
+buffers = StageBuffers(grid)
 series = StretchingSeries(kind=ModelKind.BOUSSINESQ)
 record(series, state, ens)
 hist = DuhamelHistory(state, ens)
 while state.t < 1.0 - 1e-12:
     dt = min(0.01, cfl_limit(state), 1.0 - state.t)
     state, stages = step_detailed(state, dt, check_cfl=False)
-    ens = advect_flow_map(ens, StageVelocity(stages), dt)
+    ens = advect_flow_map(ens, StageVelocity(stages, buffers), dt)
     hist.update(state, ens)
     record(series, state, ens)
 

@@ -41,6 +41,7 @@ from .harness import RunConfig, sweep
 from .lagrangian import (
     CHORD_ARC_TOL,
     DuhamelHistory,
+    StageBuffers,
     StageVelocity,
     StretchingSeries,
     advect_flow_map,
@@ -240,6 +241,7 @@ def criterion_flow_map():
     grid = Grid(64)
     state = initial_state(ModelKind.BOUSSINESQ, grid, delta=0.05)
     ens2 = identity_ensemble(48)
+    buffers = StageBuffers(grid)
     series = StretchingSeries(kind=ModelKind.BOUSSINESQ)
     chord_ok = True
     try:
@@ -247,7 +249,7 @@ def criterion_flow_map():
         while state.t < 1.0 - 1e-12:
             dt2 = min(0.02, 1.0 - state.t)
             state, stages = step_detailed(state, dt2)
-            ens2 = advect_flow_map(ens2, StageVelocity(stages), dt2)
+            ens2 = advect_flow_map(ens2, StageVelocity(stages, buffers), dt2)
             record(series, state, ens2)
     except ChordArcError:
         chord_ok = False
@@ -271,13 +273,14 @@ def criterion_duhamel():
     grid = Grid(128)
     state = initial_state(ModelKind.BOUSSINESQ, grid, delta=0.1)
     ens = identity_ensemble(128)
+    buffers = StageBuffers(grid)
     hist = DuhamelHistory(state, ens)
     while state.t < 1.0 - 1e-12:
         from .models import cfl_limit
 
         dt = min(0.01, cfl_limit(state), 1.0 - state.t)
         state, stages = step_detailed(state, dt, check_cfl=False)
-        ens = advect_flow_map(ens, StageVelocity(stages), dt)
+        ens = advect_flow_map(ens, StageVelocity(stages, buffers), dt)
         hist.update(state, ens)
     rec = duhamel_vorticity(ens, hist, grid)
     rel = (lp_norm(rec.values - state.omega.values, 2, grid.cell_area)

@@ -301,11 +301,19 @@ def laplacian(f):
     return ScalarField.from_hat(f.grid, -f.grid.K2 * f.hat)
 
 
-def _require_mean_zero(f, mean_tol):
-    """The torus Laplacian is only invertible on mean-zero data."""
-    scale = f.max_abs()
-    m = f.mean
-    if abs(m) > mean_tol * max(scale, 1e-300):
+def _require_mean_zero(grid, hat, mean_tol):
+    """The torus Laplacian is only invertible on mean-zero data.
+
+    Both the mean hat[0, 0] / (nx ny) and the scale it is held against,
+    the field's rms, come from the coefficients: the rms by Parseval with
+    the half-plane weights, as dot products that build no temporary.
+    """
+    size = grid.nx * grid.ny
+    m = float(hat[0, 0].real) / size
+    power = (2.0 * np.vdot(hat, hat) - np.vdot(hat[:, 0], hat[:, 0])
+             - np.vdot(hat[:, -1], hat[:, -1]))
+    rms = np.sqrt(max(float(power.real), 0.0)) / size
+    if abs(m) > mean_tol * max(rms, 1e-300):
         raise SolvabilityError(
             f"inverse Laplacian needs a mean-zero field; offending mean = {m:.3e}"
         )
@@ -314,19 +322,29 @@ def _require_mean_zero(f, mean_tol):
 def invert_laplacian(f, mean_tol=1e-10):
     """Solve Laplace(g) = f for the unique mean-zero g.
 
-    A right-hand side whose mean exceeds mean_tol * max|f| raises
-    SolvabilityError.
+    A right-hand side whose mean exceeds mean_tol times its rms raises
+    SolvabilityError; rms <= max|f|, so this is at least as strict as a
+    bound by mean_tol * max|f|.
     """
-    _require_mean_zero(f, mean_tol)
+    _require_mean_zero(f.grid, f.hat, mean_tol)
     return ScalarField.from_hat(f.grid, inverse_laplacian_hat(f.grid, f.hat))
 
 
 def biot_savart(omega, mean_tol=1e-10):
-    """Velocity u = grad^perp Laplace^{-1} omega; div-free with curl u = omega."""
-    _require_mean_zero(omega, mean_tol)
-    g = omega.grid
-    u1, u2 = velocity_hat(g, omega.hat)
-    return VectorField(ScalarField.from_hat(g, u1), ScalarField.from_hat(g, u2))
+    """Velocity u = grad^perp Laplace^{-1} omega; div-free with curl u = omega.
+
+    An omega whose mean exceeds mean_tol times its rms raises
+    SolvabilityError (see :func:`invert_laplacian`).
+    """
+    return biot_savart_coeffs(omega.grid, omega.hat, mean_tol)
+
+
+def biot_savart_coeffs(grid, omega_hat, mean_tol=1e-10):
+    """:func:`biot_savart` from omega's rfft2 coefficients: two inverse
+    transforms, none for omega itself."""
+    _require_mean_zero(grid, omega_hat, mean_tol)
+    u1, u2 = velocity_hat(grid, omega_hat)
+    return VectorField(ScalarField.from_hat(grid, u1), ScalarField.from_hat(grid, u2))
 
 
 def dealias(f):
@@ -354,10 +372,21 @@ def advection(w, f):
 # ---------------------------------------------------------------------------
 
 def lp_norm(values, p, cell_area):
-    """L^p norm by uniform-grid quadrature; p = inf is the grid supremum."""
+    """L^p norm by uniform-grid quadrature; p = inf is the grid supremum.
+
+    |v|^p is taken as (v^2) ** (p / 2): numpy squares for exponent 2, so
+    the default p = 4 needs no pow.
+    """
     if np.isinf(p):
         return float(np.max(np.abs(values)))
-    return float((np.sum(np.abs(values) ** p) * cell_area) ** (1.0 / p))
+    return _lp_of_squares(np.square(values), p, cell_area)
+
+
+def _lp_of_squares(squares, p, cell_area):
+    """L^p norm of the field whose pointwise squares are ``squares``."""
+    if np.isinf(p):
+        return float(np.sqrt(np.max(squares)))
+    return float((np.sum(squares ** (p / 2)) * cell_area) ** (1.0 / p))
 
 
 def derivative_orders(fields, k, reduce):
@@ -379,9 +408,10 @@ def derivative_orders(fields, k, reduce):
 
 def lp_terms(planes, p, cell_area):
     """||d^alpha f||_p for each alpha of one order's planes; the components
-    of a vector field enter through their pointwise Euclidean magnitude."""
-    return [lp_norm(c[0] if len(c) == 1 else np.sqrt(sum(x**2 for x in c)), p, cell_area)
-            for c in planes]
+    of a vector field enter through their pointwise Euclidean magnitude,
+    passed on squared (no sqrt before the power)."""
+    return [lp_norm(c[0], p, cell_area) if len(c) == 1
+            else _lp_of_squares(sum(x**2 for x in c), p, cell_area) for c in planes]
 
 
 def sobolev_norm(f, k, p):

@@ -33,6 +33,7 @@ from .errors import (
 )
 from .fields import Grid, sobolev_norm, tail_enstrophy_fraction
 from .lagrangian import (
+    StageBuffers,
     StageVelocity,
     StretchingSeries,
     advect_flow_map,
@@ -264,6 +265,7 @@ def run(config, csv_stream=None):
     kind = ModelKind.parse(config.model)
     grid = Grid(config.nx, config.ny)
     ens = identity_ensemble(config.particle_m) if config.track_particles else None
+    buffers = StageBuffers(grid) if config.track_particles else None
     series = StretchingSeries(kind=kind, p=config.p)
     rows = []
     termination = "completed"
@@ -302,7 +304,7 @@ def run(config, csv_stream=None):
                      config.t_end - state.t)
             state, stages = step_detailed(state, dt, check_cfl=False)
             if ens is not None:
-                ens = advect_flow_map(ens, StageVelocity(stages), dt)
+                ens = advect_flow_map(ens, StageVelocity(stages, buffers), dt)
             steps += 1
             if steps % config.diag_every == 0 or state.t >= config.t_end - 1e-14:
                 emit(state)

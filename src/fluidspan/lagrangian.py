@@ -11,7 +11,11 @@ point's 16-node stencil once and applies it to all planes in one sparse
 product.
 A velocity provider is a callable ``provider(stage, points) -> (u, grad u)``
 read once per RK4 stage: StageVelocity interpolates the four stage
-velocities of a model step, analytic_velocity wraps closed forms.
+velocities of a model step, analytic_velocity wraps closed forms.  A stage
+interpolates five planes, u1, u2, d_x u1, d_y u1 and d_x u2, and returns
+d_y u2 = -d_x u1, so the interpolated grad u is trace-free by construction.
+A run keeps the stage coefficients in StageBuffers that every step's
+StageVelocity refills in place.
 
 On top of the ensemble this module tracks the stretching quantities
 
@@ -34,6 +38,7 @@ from scipy.spatial import cKDTree
 from .errors import ChordArcError, InstabilityError, ReconstructionError
 from .fields import (
     ScalarField,
+    derivative_hat,
     derivative_orders,
     derivative_planes,
     grad_layers,
@@ -60,23 +65,30 @@ class PeriodicInterpolator:
     The planes come as rfft2 coefficients.  The cubic B-spline prefilter is
     diagonal in Fourier space (Unser, Aldroubi & Eden 1993): it divides by
     the spline's symbol (4 + 2 cos(2 pi k / n)) / 6 on each axis, so each
-    plane's spline coefficients cost one inverse transform.  They are kept
-    point-major, one (nx * ny, planes) array.  A call builds each point's
-    stencil once, 4 B-spline weights per axis on 16 wrapped grid nodes, as
-    one sparse matrix with 16 entries per row, and one sparse product
-    evaluates every plane; values come back stacked on axis 0.
+    plane's spline coefficients cost one multiply by the inverse symbol and
+    one inverse transform.  They are kept point-major, one
+    (nx * ny, planes) array.  A call builds each point's stencil once, 4
+    B-spline weights per axis on 16 wrapped grid nodes, as one sparse
+    matrix with 16 entries per row, and one sparse product evaluates every
+    plane; values come back stacked on axis 0.
+
+    ``inv_symbol`` (from :func:`inverse_spline_symbol`) and ``out`` (the
+    (nx * ny, planes) coefficient array to fill) let a caller that builds
+    interpolators on one grid again and again keep both; the interpolator
+    then reads ``out`` until the caller refills it.
     """
 
-    def __init__(self, hats, shape):
+    def __init__(self, hats, shape, inv_symbol=None, out=None):
         nx, ny = self.shape = shape
         self.dx, self.dy = TWO_PI / nx, TWO_PI / ny
-        sx = (4.0 + 2.0 * np.cos(TWO_PI * np.fft.fftfreq(nx))) / 6.0
-        sy = (4.0 + 2.0 * np.cos(TWO_PI * np.fft.rfftfreq(ny))) / 6.0
-        symbol = sx[:, None] * sy[None, :]
-        coeffs = np.empty((nx, ny, len(hats)))
+        if inv_symbol is None:
+            inv_symbol = inverse_spline_symbol(shape)
+        if out is None:
+            out = np.empty((nx * ny, len(hats)))
+        coeffs = out.reshape(nx, ny, len(hats))
         for i, h in enumerate(hats):
-            coeffs[..., i] = np.fft.irfft2(h / symbol, s=shape)
-        self._coeffs = coeffs.reshape(nx * ny, len(hats))
+            coeffs[..., i] = np.fft.irfft2(h * inv_symbol, s=shape)
+        self._coeffs = out
 
     def __call__(self, points):
         """Evaluate at points of shape (..., 2); returns (planes, ...)."""
@@ -94,6 +106,15 @@ class PeriodicInterpolator:
         return out.T.reshape((out.shape[1],) + pts.shape[:-1])
 
 
+def inverse_spline_symbol(shape):
+    """1 / symbol of the cubic B-spline prefilter on the rfft2 half plane of
+    an nx x ny grid; the symbol is (4 + 2 cos(2 pi k / n)) / 6 per axis."""
+    nx, ny = shape
+    sx = (4.0 + 2.0 * np.cos(TWO_PI * np.fft.fftfreq(nx))) / 6.0
+    sy = (4.0 + 2.0 * np.cos(TWO_PI * np.fft.rfftfreq(ny))) / 6.0
+    return 1.0 / (sx[:, None] * sy[None, :])
+
+
 def _stencil(c, n):
     """Cubic B-spline weights (4, k) and wrapped node indices (4, k) at grid
     coordinates c on a periodic axis of n nodes: nodes floor(c) - 1 ..
@@ -107,35 +128,63 @@ def _stencil(c, n):
     return weights, nodes
 
 
-def _split_velocity(planes):
-    """(u, grad u) with shapes (..., 2) and (..., 2, 2) from the stacked
-    planes (u1, u2, d_x u1, d_y u1, d_x u2, d_y u2); both are views of the
-    point-major values."""
-    vals = np.moveaxis(planes, 0, -1)
+def _split_velocity(vals):
+    """(u, grad u) with shapes (..., 2) and (..., 2, 2) from point-major
+    values (..., 6) of (u1, u2, d_x u1, d_y u1, d_x u2, d_y u2); both are
+    views of ``vals``."""
     return vals[..., :2], vals[..., 2:].reshape(vals.shape[:-1] + (2, 2))
+
+
+class StageBuffers:
+    """Spline-coefficient storage a run owns for its stage interpolants.
+
+    Holds the grid's inverse prefilter symbol, computed once, and one
+    point-major (nx * ny, 5) coefficient array per RK4 stage.  Every
+    StageVelocity built on the buffers refills them in place, so a provider
+    stays valid until the next StageVelocity on the same buffers is built;
+    a run reads each step's provider only inside that step's
+    advect_flow_map.
+    """
+
+    def __init__(self, grid):
+        self.shape = (grid.nx, grid.ny)
+        self.inv_symbol = inverse_spline_symbol(self.shape)
+        self.coeffs = [np.empty((grid.nx * grid.ny, 5)) for _ in range(4)]
 
 
 class StageVelocity:
     """Provider built from the four RK4 stage velocities of a model step.
 
     ``stages`` are the stage velocity fields from models.step_detailed, in
-    stage order; each gets one interpolator over the coefficients of u1,
-    u2 and the four entries of grad u, all prefiltered here (six inverse
-    transforms per stage).  ``provider(stage, points)``
-    returns (u, grad u) of that stage at the points, so stage k of the
-    flow-map step reads stage k of the field step.
+    stage order.  Each stage's interpolator is built here, into that
+    stage's array of ``buffers`` (fresh StageBuffers when None), over the
+    coefficients of five planes: u1, u2, d_x u1, d_y u1 and d_x u2, each
+    prefiltered (five inverse transforms per stage).  ``provider(stage,
+    points)`` returns (u, grad u) of that stage at the points, with
+    d_y u2 = -d_x u1: grad u is trace-free by construction, which drops
+    the round-off divergence of the Biot-Savart velocities and IIE's
+    solver-tolerance divergence.  Stage k of the flow-map step reads stage
+    k of the field step.  The provider reads ``buffers`` until the next
+    StageVelocity refills them.
     """
 
-    def __init__(self, stages):
+    def __init__(self, stages, buffers=None):
+        if buffers is None:
+            buffers = StageBuffers(stages[0].grid)
         self._stages = []
-        for w in stages:
+        for w, out in zip(stages, buffers.coeffs):
             g = w.grid
             u1, u2 = w.u.hat, w.v.hat
-            hats = (u1, u2, *gradient_hat(g, u1), *gradient_hat(g, u2))
-            self._stages.append(PeriodicInterpolator(hats, (g.nx, g.ny)))
+            hats = (u1, u2, *gradient_hat(g, u1), derivative_hat(g, u2, 1, 0))
+            self._stages.append(
+                PeriodicInterpolator(hats, buffers.shape, buffers.inv_symbol, out))
 
     def __call__(self, stage, points):
-        return _split_velocity(self._stages[stage](points))
+        planes = self._stages[stage](points)
+        vals = np.empty(planes.shape[1:] + (6,))
+        vals[..., :5] = np.moveaxis(planes, 0, -1)
+        np.negative(vals[..., 2], out=vals[..., 5])
+        return _split_velocity(vals)
 
 
 def analytic_velocity(u_fn, grad_fn):
@@ -145,8 +194,8 @@ def analytic_velocity(u_fn, grad_fn):
     def provider(stage, points):
         x, y = points[..., 0], points[..., 1]
         shape = points.shape[:-1]
-        return _split_velocity([np.broadcast_to(c, shape)
-                                for c in (*u_fn(x, y), *grad_fn(x, y))])
+        return _split_velocity(np.stack([np.broadcast_to(c, shape)
+                                         for c in (*u_fn(x, y), *grad_fn(x, y))], axis=-1))
 
     return provider
 

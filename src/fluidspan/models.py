@@ -42,7 +42,7 @@ from .errors import InstabilityError, ParameterError, VacuumError
 from .fields import (
     ScalarField,
     VectorField,
-    biot_savart,
+    biot_savart_coeffs,
     derivative_hat,
     gradient_values,
     inverse_laplacian_hat,
@@ -94,7 +94,9 @@ class FluidState:
     not carry); these, the velocity, the vorticity, and for the MHD models
     the magnetic field B and the density are computed at most once per
     state, whoever asks first (cfl, an RK4 stage, a diagnostics row).  The
-    current is not kept.  ``mass_mean`` is the mean of rho, fixed by the
+    Biot-Savart velocity is read off the vorticity's coefficients, so a
+    stage state never puts the vorticity itself on the grid.  The current
+    is not kept.  ``mass_mean`` is the mean of rho, fixed by the
     initial data.
 
     Confined to one integration thread; ``aux`` carries the per-run
@@ -144,13 +146,19 @@ class FluidState:
             self._cache[name] = build()
         return self._cache[name]
 
+    def vorticity_hat(self):
+        """rfft2 coefficients of the vorticity (for Elsasser, (xi + eta) / 2)."""
+        if self.kind is not ModelKind.MHD_ELSASSER:
+            return self.coeffs[0]
+        xi, eta = self.coeffs
+        return self._cached("vorticity_hat", lambda: 0.5 * (xi + eta))
+
     def vorticity(self):
         """Vorticity (for Elsasser, (xi + eta) / 2)."""
         if self.kind is not ModelKind.MHD_ELSASSER:
             return self.omega
-        xi, eta = self.coeffs
         return self._cached("vorticity",
-                            lambda: ScalarField.from_hat(self.grid, 0.5 * (xi + eta)))
+                            lambda: ScalarField.from_hat(self.grid, self.vorticity_hat()))
 
     def current_hat(self):
         """Coefficients of the current J = Lap(rho) of the MHD models; None
@@ -202,7 +210,7 @@ class FluidState:
             self.aux["q_prev"] = q_hat
             self.aux.setdefault("reports", []).append(report)
             return u
-        return biot_savart(self.vorticity())
+        return biot_savart_coeffs(self.grid, self.vorticity_hat())
 
 
 def _coupling(grid, omega_hat, current_hat):
@@ -260,7 +268,7 @@ def _tendency(state):
     if kind is ModelKind.MHD_ELSASSER:
         xi, eta = state.coeffs
         (xi_x, xi_y), (eta_x, eta_y) = gradient_values(g, xi), gradient_values(g, eta)
-        q = _coupling(g, state.vorticity().hat, state.current_hat())
+        q = _coupling(g, state.vorticity_hat(), state.current_hat())
         return (product_hat(g, q - (u1 - b1) * xi_x - (u2 - b2) * xi_y),
                 product_hat(g, -q - (u1 + b1) * eta_x - (u2 + b2) * eta_y))
 

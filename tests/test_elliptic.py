@@ -219,7 +219,7 @@ def test_warm_start_is_consistent(grid):
     assert np.max(np.abs(u1.u.values - u2.u.values)) <= 1e-9
 
 
-def test_pcg_transforms_per_iteration(grid, monkeypatch):
+def test_pcg_transforms_per_iteration(grid, fft_counts):
     # Machine-free cost of one cold solve (delta = 0.3, one PCG cycle):
     # 4 transforms per iteration, plus a fixed overhead of 7 forward and 8
     # inverse transforms: omega's coefficients (1 forward; a model state
@@ -229,18 +229,7 @@ def test_pcg_transforms_per_iteration(grid, monkeypatch):
     # coefficients).
     omega = omega_default(grid)
     rho = ScalarField(grid, 1.0 / (1.0 + 0.3 * np.sin(grid.X) * np.cos(grid.Y)))
-    counts = {"rfft2": 0, "irfft2": 0}
-
-    def counting(name):
-        fn = getattr(np.fft, name)
-
-        def wrapped(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapped
-
-    for name in counts:
-        monkeypatch.setattr(np.fft, name, counting(name))
+    counts = fft_counts
     _, _, rep = recover_velocity_detailed(rho, omega, tol=1e-10)
     assert rep.iterations > 3
     assert counts["rfft2"] == 2 * rep.iterations + 7

@@ -17,6 +17,7 @@ from fluidspan.fields import (
     invert_laplacian,
     kato_ratio,
     lp_norm,
+    lp_terms,
     operator_norm_2x2,
     poisson_bracket,
     sobolev_norm,
@@ -174,6 +175,17 @@ def test_invert_laplacian_rejects_nonzero_mean(grid):
         invert_laplacian(f)
 
 
+def test_mean_check_is_held_against_the_rms(grid):
+    # cos x cos y has rms 1/2 and max 1: a mean between 1e-10 rms and
+    # 1e-10 max is rejected, one below 1e-10 rms passes.
+    g = np.cos(grid.X) * np.cos(grid.Y)
+    invert_laplacian(ScalarField(grid, g + 0.4e-10))
+    biot_savart(ScalarField(grid, g + 0.4e-10))
+    for solve in (invert_laplacian, biot_savart):
+        with pytest.raises(SolvabilityError):
+            solve(ScalarField(grid, g + 0.75e-10))
+
+
 def test_biot_savart_zero(grid):
     u = biot_savart(ScalarField.zeros(grid))
     assert u.max_abs() == 0.0
@@ -254,6 +266,34 @@ def test_lp_norm_closed_forms(grid):
     c = np.full_like(f, -1.5)
     assert lp_norm(c, 4, grid.cell_area) == pytest.approx(1.5 * (2 * np.pi) ** 0.5, rel=1e-12)
     assert lp_norm(c, np.inf, grid.cell_area) == 1.5
+
+
+LP_EXPONENTS = (2.5, 3.0, 4.0, 6.0, np.inf)
+# Entries of size 1e-6 .. 1e6 or exactly 0, so no square under- or overflows.
+lp_entries = st.one_of(st.just(0.0), st.floats(1e-6, 1e6), st.floats(-1e6, -1e-6))
+lp_planes = st.lists(lp_entries, min_size=1, max_size=48)
+
+
+def lp_reference(magnitudes, p, area):
+    if np.isinf(p):
+        return float(np.max(magnitudes))
+    return float((np.sum(magnitudes**p) * area) ** (1.0 / p))
+
+
+@PROPERTY
+@given(values=lp_planes, other=lp_planes)
+def test_lp_norm_matches_power_reference(values, other):
+    # (v^2) ** (p / 2) against |v| ** p, for a plane and for the magnitude
+    # of a vector field, to 1e-15 relative.
+    a = np.array(values)
+    b = np.resize(np.array(other), a.shape)
+    area = 0.3
+    for p in LP_EXPONENTS:
+        ref = lp_reference(np.abs(a), p, area)
+        assert abs(lp_norm(a, p, area) - ref) <= 1e-15 * ref
+        ref = lp_reference(np.sqrt(a**2 + b**2), p, area)
+        (got,) = lp_terms([(a, b)], p, area)
+        assert abs(got - ref) <= 1e-15 * ref
 
 
 def test_sobolev_norm_values(grid):

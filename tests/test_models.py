@@ -98,24 +98,6 @@ def stepped_state(kind, n):
     return state
 
 
-@pytest.fixture
-def fft_counts(monkeypatch):
-    """Counts of numpy.fft.rfft2 and irfft2 calls from here on."""
-    counts = {"rfft2": 0, "irfft2": 0}
-
-    def counting(name):
-        fn = getattr(np.fft, name)
-
-        def wrapped(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapped
-
-    for name in list(counts):
-        monkeypatch.setattr(np.fft, name, counting(name))
-    return counts
-
-
 @pytest.fixture(scope="module")
 def grid():
     return Grid(64)
@@ -289,23 +271,17 @@ def test_conserved_quantities_reference_values(grid):
     assert qi["E_model"] == pytest.approx(qi["E_kinetic"], rel=1e-14)
 
 
-def test_elsasser_vorticity_is_built_once(monkeypatch):
+def test_elsasser_vorticity_is_built_once(fft_counts):
     # (xi + eta) / 2 is inverse-transformed once per state, however many
     # times a diagnostics row asks for the vorticity: velocity recovery,
     # record and conserved_quantities share it.
     state = step(initial_state(ModelKind.MHD_ELSASSER, Grid(32), delta=0.1), 0.01)
     xi, eta = state.coeffs
     omega_hat = 0.5 * (xi + eta)
-    inverse = np.fft.irfft2
-    calls = []
-
-    def counting(a, *args, **kwargs):
-        calls.append(np.array_equal(a, omega_hat))
-        return inverse(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.fft, "irfft2", counting)
+    fft_counts.inputs["irfft2"].clear()
     record(StretchingSeries(kind=ModelKind.MHD_ELSASSER), state)
     conserved_quantities(state)
+    calls = [np.array_equal(a, omega_hat) for a in fft_counts.inputs["irfft2"]]
     assert sum(calls) == 1
     assert state.vorticity() is state.vorticity()
 
@@ -375,15 +351,16 @@ def test_tendency_matches_per_term_reference(kind, n):
 
 # Inverse / forward transforms of one RK4 step after cfl_limit, as the
 # harness steps: the velocity, and for MHD B, are cached from the CFL check.
-# A stage costs its state's velocity (3 inverse, none at stage 1), B for MHD
-# (2, none at stage 1), the gradient of each transported field (2 each;
-# MHD-vc reads grad rho off B), grad J (MHD-vc) or the coupling's four
-# planes (Elsasser), and one masked forward transform per field.
+# A stage costs its state's velocity (2 inverse, read off the vorticity's
+# coefficients; none at stage 1), B for MHD (2, none at stage 1), the
+# gradient of each transported field (2 each; MHD-vc reads grad rho off B),
+# grad J (MHD-vc) or the coupling's four planes (Elsasser), and one masked
+# forward transform per field.
 STEP_TRANSFORMS = {
-    ModelKind.EULER: (17, 4),
-    ModelKind.BOUSSINESQ: (25, 8),
-    ModelKind.MHD_VORTICITY_CURRENT: (31, 8),
-    ModelKind.MHD_ELSASSER: (47, 8),
+    ModelKind.EULER: (14, 4),
+    ModelKind.BOUSSINESQ: (22, 8),
+    ModelKind.MHD_VORTICITY_CURRENT: (28, 8),
+    ModelKind.MHD_ELSASSER: (44, 8),
 }
 
 
@@ -423,17 +400,18 @@ def test_iie_step_transforms_outside_the_solve(fft_counts, monkeypatch):
 
 
 # Inverse / forward transforms of one diagnostics row with the velocity
-# cached.  Biot-Savart models: psi's order-2 and order-3 planes (7); rho on
-# the grid and its table to order 2 (1 + 5); for MHD, B (2), rho's order-2
-# and order-3 planes (7) and xi's and eta's order-2 planes (6) instead.
+# cached.  Biot-Savart models: omega on the grid (1; the velocity is read
+# off its coefficients), psi's order-2 and order-3 planes (7); rho on the
+# grid and its table to order 2 (1 + 5); for MHD, B (2), rho's order-2 and
+# order-3 planes (7) and xi's and eta's order-2 planes (6) instead.
 # IIE keeps u's own table to order 2 (10, and 2 forward for u's
 # coefficients: the solve returns u on the grid), grad omega (2) and rho's
 # table (5; the solve already put rho on the grid).
 ROW_TRANSFORMS = {
-    ModelKind.EULER: (7, 0),
-    ModelKind.BOUSSINESQ: (13, 0),
-    ModelKind.MHD_VORTICITY_CURRENT: (23, 0),
-    ModelKind.MHD_ELSASSER: (23, 0),
+    ModelKind.EULER: (8, 0),
+    ModelKind.BOUSSINESQ: (14, 0),
+    ModelKind.MHD_VORTICITY_CURRENT: (24, 0),
+    ModelKind.MHD_ELSASSER: (24, 0),
     ModelKind.IIE: (17, 2),
 }
 
