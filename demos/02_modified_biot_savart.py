@@ -20,14 +20,14 @@ omega = ScalarField.from_function(grid, lambda x, y: np.sin(x) * np.sin(y))
 for delta in (0.0, 0.05, 0.3):
     mu = 1.0 + delta * np.sin(grid.Y)
     rho = ScalarField(grid, 1.0 / mu)
-    _, _, report = recover_velocity_detailed(rho, omega, tol=1e-11)
+    _, _, report = recover_velocity_detailed(rho, omega.hat, tol=1e-11)
     print(f"delta = {delta:4.2f}: method = {report.method}, "
           f"iterations = {report.iterations}, residual = {report.residual:.1e}, "
           f"||mu - 1||_inf = {report.contraction_estimate:.3f}")
 
 mu = 1.0 + 0.1 * np.cos(grid.X)
 rho = ScalarField(grid, 1.0 / mu)
-u, _, _ = recover_velocity_detailed(rho, omega, tol=1e-11)
+u, _, _ = recover_velocity_detailed(rho, omega.hat, tol=1e-11)
 rho_u = VectorField(ScalarField(grid, rho.values * u.u.values),
                     ScalarField(grid, rho.values * u.v.values))
 print(f"curl(rho u) - omega: {np.max(np.abs(curl(rho_u).values - omega.values)):.2e}")

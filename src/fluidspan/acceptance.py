@@ -194,14 +194,14 @@ def criterion_elliptic_solver():
 
     omega = ScalarField.from_function(grid, lambda x, y: np.sin(x) * np.sin(y))
     ones = ScalarField(grid, np.ones((grid.nx, grid.ny)))
-    u_unit, _, rep = recover_velocity_detailed(ones, omega)
+    u_unit, _, rep = recover_velocity_detailed(ones, omega.hat)
     ub = biot_savart(omega)
     values["unit_density_exact"] = float(np.max(np.abs(u_unit.u.values - ub.u.values)))
     values["unit_density_iterations"] = rep.iterations
 
     mu2 = 1.0 + 0.1 * np.cos(grid.X)
     rho2 = ScalarField(grid, 1.0 / mu2)
-    u, _, _ = recover_velocity_detailed(rho2, omega, tol=1e-11)
+    u, _, _ = recover_velocity_detailed(rho2, omega.hat, tol=1e-11)
     rho_u = VectorField(ScalarField(grid, rho2.values * u.u.values),
                         ScalarField(grid, rho2.values * u.v.values))
     curl_res = (lp_norm(curl(rho_u).values - omega.values, 2, grid.cell_area)

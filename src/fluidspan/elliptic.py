@@ -9,21 +9,34 @@ after which u = mu (K omega + grad q).  By construction rho u =
 K omega + grad q, so curl(rho u) = omega and the momentum mean vanishes
 to round-off; div u = 0 holds to solver tolerance.
 
-Every solve is warm-started preconditioned conjugate gradients (Shewchuk
-1994) on the symmetric positive form -div(mu grad .), iterating on rfft2
-coefficients with Parseval inner products (Canuto, Hussaini, Quarteroni &
-Zang 2006): 4 transforms per iteration, as the preconditioner, the
-constant-coefficient inverse Laplacian, is one multiplier.  Operator and
+Every solve is preconditioned conjugate gradients (Shewchuk 1994) on the
+symmetric positive form -div(mu grad .), iterating on rfft2 coefficients
+with Parseval inner products (Canuto, Hussaini, Quarteroni & Zang 2006):
+4 transforms per iteration, as the preconditioner, the constant-
+coefficient inverse Laplacian, is one multiplier.  Beyond the iterations a
+solve takes 7 forward and 6 inverse transforms: omega's coefficients when
+the caller has only its samples (1 forward), K omega (2 inverse), the
+right-hand side (2 forward), and the initial and the closing true residual
+(2 + 2 each).  The closing residual forms the flux mu grad q on the grid,
+and u = mu K omega + mu grad q is read off it.  Operator and
 preconditioner share the spectral odd-derivative multipliers, which zero
 the Nyquist mode, and the reported residual is that of the returned
 iterate under the same operator.  The perturbative size of the problem is
 reported as ||mu - 1||_inf: it bounds the contraction of the fixed point
 q <- Lap^-1 (b - div((mu - 1) grad q)) in the H^1 seminorm, because
 grad Lap^-1 div is an L^2 projection.
+
+The solves of one run start from :class:`WarmStart`, a prediction from
+the run's earlier solves (Fischer 1998, projection techniques for
+successive right-hand sides): a linear extrapolation in time, corrected
+by the extrapolation's own error at the same RK4 stage one step earlier.
+The start changes only the iteration count; the tolerance, the stopping
+rule and the reported residual do not depend on it.
 """
 
 from __future__ import annotations
 
+import collections
 import math
 from dataclasses import dataclass
 
@@ -33,11 +46,9 @@ from .errors import ConvergenceError, VacuumError
 from .fields import (
     ScalarField,
     VectorField,
-    biot_savart,
+    biot_savart_coeffs,
     derivative_hat,
     gradient_values,
-    same_grid,
-    to_physical,
 )
 
 VACUUM_FLOOR = 1e-8
@@ -61,13 +72,21 @@ def _inverse_density(rho):
     return 1.0 / rho.values
 
 
+def _flux(grid, mu, x_hat):
+    """mu grad x on the grid from the coefficients of x: 2 inverse transforms."""
+    return tuple(mu * g for g in gradient_values(grid, x_hat))
+
+
+def _div_hat(grid, fx, fy):
+    """Coefficients of div(fx, fy) from its grid samples: 2 forward transforms."""
+    return (derivative_hat(grid, np.fft.rfft2(fx), 1, 0)
+            + derivative_hat(grid, np.fft.rfft2(fy), 0, 1))
+
+
 def _apply_a(grid, mu, x_hat):
     """Coefficients of -div(mu grad x) from those of x: 2 inverse and 2
     forward transforms."""
-    fx = mu * to_physical(grid, derivative_hat(grid, x_hat, 1, 0))
-    fy = mu * to_physical(grid, derivative_hat(grid, x_hat, 0, 1))
-    return -(derivative_hat(grid, np.fft.rfft2(fx), 1, 0)
-             + derivative_hat(grid, np.fft.rfft2(fy), 0, 1))
+    return -_div_hat(grid, *_flux(grid, mu, x_hat))
 
 
 def _pcg_solve(grid, mu, rhs, tol, max_iter=500, x0=None):
@@ -84,8 +103,9 @@ def _pcg_solve(grid, mu, rhs, tol, max_iter=500, x0=None):
     max_iter; the true residual of the iterate then decides: done, restart
     from it, or stop because it no longer improves.
 
-    Returns (x_hat, iterations, residual) for the best iterate seen, with
-    the mean mode zeroed and residual = ||-div(mu grad x) - rhs|| / ||rhs||
+    Returns (x_hat, flux, iterations, residual) for the best iterate seen,
+    with the mean mode zeroed, flux = mu grad x on the grid as formed by
+    its true residual, and residual = ||-div(mu grad x) - rhs|| / ||rhs||
     (mean of rhs removed); a zero rhs gives x = 0, counted as one iteration.
     """
     k2 = grid.KXd**2 + grid.KYd**2
@@ -100,16 +120,21 @@ def _pcg_solve(grid, mu, rhs, tol, max_iter=500, x0=None):
     def norm(a):
         return math.sqrt(dot(a, a))
 
+    def true_residual(x):
+        flux = _flux(grid, mu, x)
+        return rhs + _div_hat(grid, *flux), flux
+
     rhs = rhs.copy()
     rhs[0, 0] = 0.0
     rhs_norm = norm(rhs)
     if rhs_norm == 0.0:
-        return np.zeros_like(rhs), 1, 0.0
+        zero = np.zeros((grid.nx, grid.ny))
+        return np.zeros_like(rhs), (zero, zero), 1, 0.0
     target = tol * rhs_norm
 
     x = np.zeros_like(rhs) if x0 is None else np.array(x0, dtype=np.complex128)
-    r = rhs - _apply_a(grid, mu, x)
-    best_x, best_norm = x.copy(), norm(r)
+    r, flux = true_residual(x)
+    best_x, best_flux, best_norm = x.copy(), flux, norm(r)
     it = 0
     while best_norm > target and it < max_iter:
         z = inv_k2 * r
@@ -131,33 +156,84 @@ def _pcg_solve(grid, mu, rhs, tol, max_iter=500, x0=None):
             rz_new = dot(r, z)
             p = z + (rz_new / rz) * p
             rz = rz_new
-        r = rhs - _apply_a(grid, mu, x)
+        r, flux = true_residual(x)
         r_norm = norm(r)
         if not r_norm < best_norm:
             break
-        best_x, best_norm = x.copy(), r_norm
+        best_x, best_flux, best_norm = x.copy(), flux, r_norm
     best_x[0, 0] = 0.0
-    return best_x, it, best_norm / rhs_norm
+    return best_x, best_flux, it, best_norm / rhs_norm
 
 
-def recover_velocity_detailed(rho, omega, tol=1e-10, q0=None):
-    """Velocity from (omega, rho) by the modified Biot-Savart law, as
-    (u, q_hat, report) with q_hat the rfft2 coefficients of the potential.
+class WarmStart:
+    """Starts for a run's successive solves, predicted from its earlier ones.
+
+    The base for a solve at time t is the linear extrapolation in time
+    through the last solve and the latest solve at another time; it is the
+    last q_hat when t is the last solve's time or no other time has been
+    solved.  When t lies as far from the last solve as the solve four back
+    lay from the one five back (for RK4, four solves back is the same stage
+    one step earlier), that solve's base error q_hat - base is added.  A
+    changed step size skips the correction, so a mismatch costs iterations
+    only.  Holds two q_hat and four errors; one per run, in one thread.
+    """
+
+    def __init__(self):
+        self._last = None  # (t, q_hat) of the last solve
+        self._other = None  # (t, q_hat) of the latest solve at another time
+        self._errors = collections.deque(maxlen=4)  # (t offset, q_hat - base)
+        self._base = None
+
+    def predict(self, t):
+        """The start for a solve at time t as coefficients; None before the
+        first solve."""
+        if self._last is None:
+            return None
+        t_last, q_last = self._last
+        if t == t_last or self._other is None:
+            self._base = q_last
+        else:
+            t_other, q_other = self._other
+            self._base = q_last + ((t - t_last) / (t_last - t_other)) * (q_last - q_other)
+        if len(self._errors) == 4:
+            # Equal steps give offsets that differ only by the rounding of t.
+            offset, error = self._errors[0]
+            if offset is not None and math.isclose(t - t_last, offset, rel_tol=1e-9):
+                return self._base + error
+        return self._base
+
+    def record(self, t, q_hat):
+        """Add the solve at time t that started from predict(t)."""
+        if self._last is None:
+            self._errors.append((None, None))
+        else:
+            self._errors.append((t - self._last[0], q_hat - self._base))
+            if t != self._last[0]:
+                self._other = self._last
+        self._last = (t, q_hat)
+        self._base = None
+
+
+def recover_velocity_detailed(rho, omega_hat, tol=1e-10, q0=None):
+    """Velocity from the vorticity's rfft2 coefficients omega_hat and the
+    density rho by the modified Biot-Savart law, as (u, q_hat, report)
+    with q_hat the rfft2 coefficients of the potential.
 
     u satisfies div u = 0 to solver tolerance, curl(rho u) = omega, and
     mean(rho u) = 0 to round-off; it is the standard Biot-Savart velocity
     exactly when rho is identically 1 (q = 0, counted as one iteration).
-    q0 is the warm start as coefficients, typically the previous solve's
-    q_hat.  A best residual above 10 * tol raises ConvergenceError.
+    q0 is the start as coefficients (a :class:`WarmStart` prediction, or
+    None for zero).  A best residual above 10 * tol raises
+    ConvergenceError.
     """
-    grid = same_grid(rho, omega)
+    grid = rho.grid
     mu = _inverse_density(rho)
     dmu = mu - 1.0
-    k_omega = biot_savart(omega)
-    # -b = div((mu - 1) K omega), straight from the forward transforms
-    rhs = (derivative_hat(grid, np.fft.rfft2(dmu * k_omega.u.values), 1, 0)
-           + derivative_hat(grid, np.fft.rfft2(dmu * k_omega.v.values), 0, 1))
-    q_hat, iterations, residual = _pcg_solve(grid, mu, rhs, tol, x0=q0)
+    k_omega = biot_savart_coeffs(grid, omega_hat)
+    ku, kv = k_omega.u.values, k_omega.v.values
+    # -div(mu grad q) = b with b = div((mu - 1) K omega)
+    rhs = _div_hat(grid, dmu * ku, dmu * kv)
+    q_hat, (fx, fy), iterations, residual = _pcg_solve(grid, mu, rhs, tol, x0=q0)
     report = EllipticSolveReport(iterations, residual, METHOD, float(np.max(np.abs(dmu))))
     if residual > 10 * tol:
         raise ConvergenceError(
@@ -165,14 +241,12 @@ def recover_velocity_detailed(rho, omega, tol=1e-10, q0=None):
             f"{residual:.3e} (tol {tol:.1e})",
             report,
         )
-    qx, qy = gradient_values(grid, q_hat)
-    u = VectorField(ScalarField(grid, mu * (k_omega.u.values + qx)),
-                    ScalarField(grid, mu * (k_omega.v.values + qy)))
+    u = VectorField(ScalarField(grid, mu * ku + fx), ScalarField(grid, mu * kv + fy))
     return u, q_hat, report
 
 
 def solve_div_form(rho, f, tol=1e-12, max_iter=500):
     """Solve div(rho^-1 grad q) = f for mean-zero q, given the right-hand
     side f (its mean removed); returns q."""
-    q_hat, _, _ = _pcg_solve(rho.grid, _inverse_density(rho), -f.hat, tol, max_iter)
+    q_hat, _, _, _ = _pcg_solve(rho.grid, _inverse_density(rho), -f.hat, tol, max_iter)
     return ScalarField.from_hat(rho.grid, q_hat)

@@ -37,7 +37,7 @@ import enum
 
 import numpy as np
 
-from .elliptic import recover_velocity_detailed
+from .elliptic import WarmStart, recover_velocity_detailed
 from .errors import InstabilityError, ParameterError, VacuumError
 from .fields import (
     ScalarField,
@@ -94,16 +94,16 @@ class FluidState:
     not carry); these, the velocity, the vorticity, and for the MHD models
     the magnetic field B and the density are computed at most once per
     state, whoever asks first (cfl, an RK4 stage, a diagnostics row).  The
-    Biot-Savart velocity is read off the vorticity's coefficients, so a
-    stage state never puts the vorticity itself on the grid.  The current
-    is not kept.  ``mass_mean`` is the mean of rho, fixed by the
-    initial data.
+    velocity (Biot-Savart, or the IIE elliptic solve) is read off the
+    vorticity's coefficients, so a stage state never puts the vorticity
+    itself on the grid.  The current is not kept.  ``mass_mean`` is the
+    mean of rho, fixed by the initial data.
 
     Confined to one integration thread; ``aux`` carries the per-run
-    elliptic warm start (``q_prev``, the last potential's rfft2
-    coefficients) and the reports of its elliptic
-    solves (``reports``), and is shared across the states produced by a
-    stepping sequence.
+    elliptic history (``warm_start``, the :class:`~fluidspan.elliptic.WarmStart`
+    that predicts each solve's start from the earlier ones) and the reports
+    of its elliptic solves (``reports``), and is shared across the states
+    produced by a stepping sequence.
     """
 
     def __init__(self, kind, t, omega=None, rho=None, xi=None, eta=None,
@@ -203,11 +203,12 @@ class FluidState:
 
     def _recover_velocity(self):
         if self.kind is ModelKind.IIE:
+            warm = self.aux.setdefault("warm_start", WarmStart())
             u, q_hat, report = recover_velocity_detailed(
-                self.rho, self.omega, tol=self.elliptic_tol,
-                q0=self.aux.get("q_prev"),
+                self.rho, self.coeffs[0], tol=self.elliptic_tol,
+                q0=warm.predict(self.t),
             )
-            self.aux["q_prev"] = q_hat
+            warm.record(self.t, q_hat)
             self.aux.setdefault("reports", []).append(report)
             return u
         return biot_savart_coeffs(self.grid, self.vorticity_hat())

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 
 class FFTCounts(dict):
-    """Calls of numpy.fft.rfft2 and irfft2 by name; ``inputs`` keeps each
-    call's input array, in call order."""
+    """Calls of rfft2 and irfft2 by name; ``inputs`` keeps each call's input
+    array, in call order."""
 
     def __init__(self):
         super().__init__(rfft2=0, irfft2=0)
@@ -13,11 +14,13 @@ class FFTCounts(dict):
 
 @pytest.fixture
 def fft_counts(monkeypatch):
-    """Counts of numpy.fft.rfft2 and irfft2 calls from here on."""
+    """Counts of rfft2 and irfft2 calls from here on, from numpy.fft and
+    scipy.fft alike, so that moving a transform between them never reads as
+    a saving."""
     counts = FFTCounts()
 
-    def counting(name):
-        fn = getattr(np.fft, name)
+    def counting(module, name):
+        fn = getattr(module, name)
 
         def wrapped(a, *args, **kwargs):
             counts[name] += 1
@@ -25,6 +28,7 @@ def fft_counts(monkeypatch):
             return fn(a, *args, **kwargs)
         return wrapped
 
-    for name in list(counts):
-        monkeypatch.setattr(np.fft, name, counting(name))
+    for module in (np.fft, scipy.fft):
+        for name in list(counts):
+            monkeypatch.setattr(module, name, counting(module, name))
     return counts

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fluidspan import models
 from fluidspan.elliptic import _apply_a, recover_velocity_detailed, solve_div_form
 from fluidspan.errors import ConvergenceError, VacuumError
 from fluidspan.fields import (
@@ -16,6 +17,7 @@ from fluidspan.fields import (
     lp_norm,
 )
 from fluidspan.harness import RunConfig, run
+from fluidspan.models import ModelKind, initial_state, step_detailed
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +45,7 @@ def forcing(rho, omega):
 
 def test_homogeneous_density_gives_zero_q(grid):
     rho = ScalarField(grid, np.ones((grid.nx, grid.ny)))
-    _, q_hat, report = recover_velocity_detailed(rho, omega_default(grid))
+    _, q_hat, report = recover_velocity_detailed(rho, omega_default(grid).hat)
     assert ScalarField.from_hat(grid, q_hat).max_abs() == 0.0
     assert report.iterations == 1
     assert report.residual == 0.0
@@ -84,7 +86,7 @@ def test_perturbative_solve_properties(grid):
     omega = omega_default(grid)
     mu = 1.0 + 0.05 * np.sin(grid.Y)  # delta = 0.05, theta = sin y
     rho = ScalarField(grid, 1.0 / mu)
-    _, _, report = recover_velocity_detailed(rho, omega, tol=1e-10)
+    _, _, report = recover_velocity_detailed(rho, omega.hat, tol=1e-10)
     assert report.residual <= 1e-10
     assert report.method == "preconditioned_cg"
     # ||mu - 1||_inf bounds the perturbative fixed-point contraction: O(delta)
@@ -95,13 +97,13 @@ def test_perturbative_solve_properties(grid):
 def test_vacuum_rejected(grid):
     rho = ScalarField(grid, 0.5 + 0.5 * np.cos(grid.X))  # touches zero
     with pytest.raises(VacuumError):
-        recover_velocity_detailed(rho, omega_default(grid))
+        recover_velocity_detailed(rho, omega_default(grid).hat)
 
 
 def test_velocity_reduces_to_biot_savart_for_unit_density(grid):
     omega = omega_default(grid)
     rho = ScalarField(grid, np.ones((grid.nx, grid.ny)))
-    u, _, _ = recover_velocity_detailed(rho, omega)
+    u, _, _ = recover_velocity_detailed(rho, omega.hat)
     ub = biot_savart(omega)
     assert np.max(np.abs(u.u.values - ub.u.values)) == 0.0
     assert np.max(np.abs(u.v.values - ub.v.values)) == 0.0
@@ -111,7 +113,7 @@ def test_velocity_self_consistency(grid):
     omega = omega_default(grid)
     mu = 1.0 + 0.1 * np.cos(grid.X)  # delta = 0.1, theta = cos x
     rho = ScalarField(grid, 1.0 / mu)
-    u, _, _ = recover_velocity_detailed(rho, omega, tol=1e-11)
+    u, _, _ = recover_velocity_detailed(rho, omega.hat, tol=1e-11)
 
     # curl(rho u) = omega
     rho_u = VectorField(
@@ -147,7 +149,7 @@ def test_methods_agree(grid):
         q_ref = invert_laplacian(rhs - rhs.mean, mean_tol=np.inf)
 
     tol = 1e-11
-    _, q_hat, rep = recover_velocity_detailed(rho, omega, tol=tol)
+    _, q_hat, rep = recover_velocity_detailed(rho, omega.hat, tol=tol)
     q = ScalarField.from_hat(grid, q_hat)
     assert rep.method == "preconditioned_cg"
     diff = lp_norm(q_ref.values - q.values, 2, grid.cell_area)
@@ -163,7 +165,7 @@ def test_residual_is_honest(grid, mu_fn):
     mu = mu_fn(grid.X, grid.Y)
     rho = ScalarField(grid, 1.0 / mu)
     tol = 1e-10
-    _, q_hat, rep = recover_velocity_detailed(rho, omega, tol=tol)
+    _, q_hat, rep = recover_velocity_detailed(rho, omega.hat, tol=tol)
     q = ScalarField.from_hat(grid, q_hat)
     b = forcing(rho, omega)
     r = div_mu_grad(mu, q).values - b.values
@@ -176,7 +178,7 @@ def test_unreachable_tolerance_stops_at_best_iterate(grid):
     omega = omega_default(grid)
     rho = ScalarField(grid, 1.0 / (1.0 + 0.3 * np.sin(grid.X) * np.cos(grid.Y)))
     with pytest.raises(ConvergenceError) as info:
-        recover_velocity_detailed(rho, omega, tol=1e-17)
+        recover_velocity_detailed(rho, omega.hat, tol=1e-17)
     rep = info.value.report
     assert rep.iterations < 100  # stagnation stop, not max_iter
     assert rep.residual <= 1e-13  # round-off floor, not a divergent iterate
@@ -199,7 +201,7 @@ def test_refinement_invariance():
         omega = ScalarField.from_function(g, lambda x, y: np.sin(x) * np.sin(y))
         mu = 1.0 + 0.05 * np.sin(g.Y)
         rho = ScalarField(g, 1.0 / mu)
-        u, _, _ = recover_velocity_detailed(rho, omega, tol=tol)
+        u, _, _ = recover_velocity_detailed(rho, omega.hat, tol=tol)
         return u
 
     u_c = setup(coarse)
@@ -213,24 +215,79 @@ def test_warm_start_is_consistent(grid):
     omega = omega_default(grid)
     mu = 1.0 + 0.05 * np.sin(grid.Y)
     rho = ScalarField(grid, 1.0 / mu)
-    u1, q1_hat, _ = recover_velocity_detailed(rho, omega, tol=1e-11)
-    u2, _, rep2 = recover_velocity_detailed(rho, omega, tol=1e-11, q0=q1_hat)
+    u1, q1_hat, _ = recover_velocity_detailed(rho, omega.hat, tol=1e-11)
+    u2, _, rep2 = recover_velocity_detailed(rho, omega.hat, tol=1e-11, q0=q1_hat)
     assert rep2.iterations <= 3
     assert np.max(np.abs(u1.u.values - u2.u.values)) <= 1e-9
 
 
+@pytest.mark.parametrize("delta", [5e-3, 2.8])
+def test_predicted_starts_match_cold_solves(delta, monkeypatch):
+    # Every solve of a run starts from the WarmStart prediction; a cold solve
+    # of the same state must give the same velocity to solver tolerance.
+    # The steps after the fourth use the stage correction, and the shorter
+    # sixth step changes the offsets, so its correction is skipped.
+    tol = 1e-10
+    solve = models.recover_velocity_detailed
+    seen = []
+
+    def checked_solve(rho, omega_hat, tol, q0):
+        out = solve(rho, omega_hat, tol=tol, q0=q0)
+        cold, _, cold_report = solve(rho, omega_hat, tol=tol)
+        u = out[0]
+        gap = max(np.max(np.abs(u.u.values - cold.u.values)),
+                  np.max(np.abs(u.v.values - cold.v.values)))
+        seen.append((q0 is not None, gap / u.max_abs(), out[2].residual,
+                     cold_report.residual))
+        return out
+
+    monkeypatch.setattr(models, "recover_velocity_detailed", checked_solve)
+    state = initial_state(ModelKind.IIE, Grid(32), delta=delta,
+                          delta_norm="inv_rho_minus_1_W2p", elliptic_tol=tol)
+    for dt in (0.01, 0.01, 0.01, 0.01, 0.01, 0.004, 0.01):
+        state, _ = step_detailed(state, dt)
+    assert len(seen) == 7 * 4
+    assert [warm for warm, *_ in seen] == [False] + [True] * 27
+    assert max(gap for _, gap, _, _ in seen) <= 20 * tol
+    assert max(max(warm, cold) for _, _, warm, cold in seen) <= tol
+
+
+def test_run_with_a_truncated_last_step_completes():
+    # t_end = 0.055 ends on a 0.005 step, so its stage offsets differ from
+    # those of the step before.
+    cfg = RunConfig(model="iie", nx=32, ny=32, delta=2.8,
+                    delta_norm="inv_rho_minus_1_W2p", t_end=0.055, dt_max=0.01,
+                    track_particles=False)
+    result = run(cfg)
+    assert result.status == 0, result.termination
+    assert result.solver["residual_max"] <= cfg.elliptic_tol
+
+
+def test_predicted_starts_cut_iterations():
+    # One fixed 8-step run at delta = 2.8: 33 solves.  Starting each solve
+    # from the previous one's q_hat took 278 iterations; the WarmStart
+    # prediction takes 161.
+    cfg = RunConfig(model="iie", nx=32, ny=32, delta=2.8,
+                    delta_norm="inv_rho_minus_1_W2p", t_end=0.08, dt_max=0.01,
+                    track_particles=False, diag_every=25)
+    result = run(cfg)
+    assert result.status == 0, result.termination
+    assert result.solver["solves"] == 33
+    assert result.solver["iterations_total"] <= 161
+
+
 def test_pcg_transforms_per_iteration(grid, fft_counts):
     # Machine-free cost of one cold solve (delta = 0.3, one PCG cycle):
-    # 4 transforms per iteration, plus a fixed overhead of 7 forward and 8
+    # 4 transforms per iteration, plus a fixed overhead of 7 forward and 6
     # inverse transforms: omega's coefficients (1 forward; a model state
     # carries them already), K omega (2 inverse), the right-hand side
-    # div((mu - 1) K omega) (2 forward), the initial and the closing true
-    # residual (2 + 2 each), and grad q (2 inverse; q itself is returned as
-    # coefficients).
+    # div((mu - 1) K omega) (2 forward), and the initial and the closing
+    # true residual (2 + 2 each).  u is read off the closing residual's
+    # flux mu grad q, so grad q is not transformed again.
     omega = omega_default(grid)
     rho = ScalarField(grid, 1.0 / (1.0 + 0.3 * np.sin(grid.X) * np.cos(grid.Y)))
     counts = fft_counts
-    _, _, rep = recover_velocity_detailed(rho, omega, tol=1e-10)
+    _, _, rep = recover_velocity_detailed(rho, omega.hat, tol=1e-10)
     assert rep.iterations > 3
     assert counts["rfft2"] == 2 * rep.iterations + 7
-    assert counts["irfft2"] == 2 * rep.iterations + 8
+    assert counts["irfft2"] == 2 * rep.iterations + 6

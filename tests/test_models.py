@@ -375,10 +375,11 @@ def test_step_transform_count(kind, fft_counts):
 
 def test_iie_step_transforms_outside_the_solve(fft_counts, monkeypatch):
     # The IIE tendency's share of a step, the elliptic solves excluded (their
-    # cost per iteration is pinned in test_elliptic): per stage, omega and
-    # rho on the grid for the solve (2 inverse, none at stage 1), grad omega,
-    # grad rho and grad(|u|^2 / 2) (6 inverse), and |u|^2 / 2 plus one masked
-    # product per field (3 forward).
+    # cost per iteration is pinned in test_elliptic): per stage, rho on the
+    # grid for the solve (1 inverse, none at stage 1; the solve reads
+    # omega's coefficients), grad omega, grad rho and grad(|u|^2 / 2)
+    # (6 inverse), and |u|^2 / 2 plus one masked product per field
+    # (3 forward).
     state = stepped_state(ModelKind.IIE, 32)
     models.cfl_limit(state)
     solve = models.recover_velocity_detailed
@@ -396,7 +397,7 @@ def test_iie_step_transforms_outside_the_solve(fft_counts, monkeypatch):
     step_detailed(state, 0.01, check_cfl=False)
     assert inside["irfft2"] > 0
     outside = (fft_counts["irfft2"] - inside["irfft2"], fft_counts["rfft2"] - inside["rfft2"])
-    assert outside == (30, 12)
+    assert outside == (27, 12)
 
 
 # Inverse / forward transforms of one diagnostics row with the velocity
@@ -405,14 +406,15 @@ def test_iie_step_transforms_outside_the_solve(fft_counts, monkeypatch):
 # grid and its table to order 2 (1 + 5); for MHD, B (2), rho's order-2 and
 # order-3 planes (7) and xi's and eta's order-2 planes (6) instead.
 # IIE keeps u's own table to order 2 (10, and 2 forward for u's
-# coefficients: the solve returns u on the grid), grad omega (2) and rho's
-# table (5; the solve already put rho on the grid).
+# coefficients: the solve returns u on the grid), omega on the grid (1; the
+# solve reads its coefficients), grad omega (2) and rho's table (5; the
+# solve already put rho on the grid).
 ROW_TRANSFORMS = {
     ModelKind.EULER: (8, 0),
     ModelKind.BOUSSINESQ: (14, 0),
     ModelKind.MHD_VORTICITY_CURRENT: (24, 0),
     ModelKind.MHD_ELSASSER: (24, 0),
-    ModelKind.IIE: (17, 2),
+    ModelKind.IIE: (18, 2),
 }
 
 
