@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.special import logsumexp
 
 from .errors import HypothesisError, NestedLogDomainError, ParameterError
 from .models import MHD_KINDS, ModelKind
@@ -362,17 +360,14 @@ def _saturated_rhs(k_m, k_n, shift):
 
 
 def _log_trapezoid_cumsum(t, log_f):
-    """log of the running trapezoid integral of exp(log_f), via logsumexp."""
+    """log of the running trapezoid integral of exp(log_f)."""
     out = np.full(t.shape, -np.inf)
     if len(t) < 2:
         return out
     dt = np.diff(t)
-    # contribution of panel j: log(dt_j / 2) + logsumexp(f_j, f_{j+1})
+    # contribution of panel j: log(dt_j / 2) + log(e^f_j + e^f_{j+1})
     panels = np.log(dt / 2.0) + np.logaddexp(log_f[:-1], log_f[1:])
-    running = -np.inf
-    for j, p in enumerate(panels):
-        running = np.logaddexp(running, p)
-        out[j + 1] = running
+    out[1:] = np.logaddexp.accumulate(panels)
     return out
 
 
@@ -418,6 +413,8 @@ def integrate_saturated_system(kind, c, t_end, delta=1e-3, rtol=1e-10,
     m_cap = 3.0e4 / k_m
     cap = lambda t, y: m_cap - y[0]  # noqa: E731
     cap.terminal = True
+    from scipy.integrate import solve_ivp  # ~0.5 s to import; only these systems need it
+
     sol = solve_ivp(rhs, (0.0, t_end), [0.0, 0.0], method="DOP853", rtol=rtol,
                     atol=1e-12, t_eval=np.linspace(0.0, t_end, n_eval),
                     events=cap, dense_output=False)
@@ -487,6 +484,8 @@ def _integrate_mhd_simplified(c, t_end, delta, rtol, n_eval):
     # stop where either exp(m) or the Z growth rate leaves double range
     cap = lambda t, y: min(_M_CAP - y[0], 600.0 - (math.log(c) + c * y[1]))  # noqa: E731
     cap.terminal = True
+    from scipy.integrate import solve_ivp
+
     sol = solve_ivp(rhs, (0.0, t_end), [0.0, 0.0, 0.0, 0.0], method="DOP853",
                     rtol=rtol, atol=1e-12,
                     t_eval=np.linspace(0.0, t_end, n_eval), events=cap)

@@ -171,11 +171,13 @@ class WarmStart:
     The base for a solve at time t is the linear extrapolation in time
     through the last solve and the latest solve at another time; it is the
     last q_hat when t is the last solve's time or no other time has been
-    solved.  When t lies as far from the last solve as the solve four back
-    lay from the one five back (for RK4, four solves back is the same stage
-    one step earlier), that solve's base error q_hat - base is added.  A
-    changed step size skips the correction, so a mismatch costs iterations
-    only.  Holds two q_hat and four errors; one per run, in one thread.
+    solved.  The solve four back (for RK4, the same stage one step earlier)
+    left a base error q_hat - base at its own offset h0 from the solve
+    before it; that error is added, scaled by (h / h0)^2 for the new offset
+    h, since a linear extrapolation's error is second order in the offset.
+    Equal offsets add it unscaled; a zero offset against a nonzero one adds
+    nothing.  A poor correction costs iterations only.  Holds two q_hat and
+    four errors; one per run, in one thread.
     """
 
     def __init__(self):
@@ -196,10 +198,13 @@ class WarmStart:
             t_other, q_other = self._other
             self._base = q_last + ((t - t_last) / (t_last - t_other)) * (q_last - q_other)
         if len(self._errors) == 4:
-            # Equal steps give offsets that differ only by the rounding of t.
             offset, error = self._errors[0]
-            if offset is not None and math.isclose(t - t_last, offset, rel_tol=1e-9):
+            h = t - t_last
+            # Equal steps give offsets that differ only by the rounding of t.
+            if offset is not None and math.isclose(h, offset, rel_tol=1e-9):
                 return self._base + error
+            if offset and h:
+                return self._base + (h / offset) ** 2 * error
         return self._base
 
     def record(self, t, q_hat):

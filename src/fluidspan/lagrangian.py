@@ -32,8 +32,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.spatial import cKDTree
 
 from .errors import ChordArcError, InstabilityError, ReconstructionError
 from .fields import (
@@ -101,6 +99,8 @@ class PeriodicInterpolator:
         weights = (wx[:, None] * wy[None, :]).reshape(16, n).T.ravel()
         nodes = (ix[:, None] * ny + iy[None, :]).reshape(16, n).T.ravel()
         rows = np.arange(0, 16 * n + 1, 16, dtype=np.int32)
+        from scipy import sparse  # imported by the first call, not by the package
+
         stencil = sparse.csr_array((weights, nodes, rows), shape=(n, nx * ny))
         out = stencil @ self._coeffs
         return out.T.reshape((out.shape[1],) + pts.shape[:-1])
@@ -306,6 +306,8 @@ def back_to_label(ens, grid, newton_steps=2):
     shifts = np.array([[sx, sy] for sx in (-TWO_PI, 0.0, TWO_PI)
                        for sy in (-TWO_PI, 0.0, TWO_PI)])
     tiled = (pos[None, :, :] + shifts[:, None, :]).reshape(-1, 2)
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(tiled)
 
     targets = np.stack([grid.X, grid.Y], axis=-1).reshape(-1, 2)

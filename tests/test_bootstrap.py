@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fluidspan.bootstrap import (
+    _log_trapezoid_cumsum,
     ClosureSpec,
     GrowthConstants,
     bootstrap_monitor,
@@ -198,6 +199,32 @@ def test_saturated_trajectories_obey_corrected_envelopes():
         lam1 = 2.0 * c * (1.0 + math.log1p(c))
         env_m = np.exp(np.minimum(lam1 * rep.t, 700.0))
         assert np.all(env_m - rep.log_m >= 0.0)
+
+
+def _log_trapezoid_cumsum_loop(t, log_f):
+    """Oracle: the running log-sum of the trapezoid panels, one panel at a time."""
+    out = np.full(t.shape, -np.inf)
+    if len(t) < 2:
+        return out
+    panels = np.log(np.diff(t) / 2.0) + np.logaddexp(log_f[:-1], log_f[1:])
+    running = -np.inf
+    for j, p in enumerate(panels):
+        running = np.logaddexp(running, p)
+        out[j + 1] = running
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 501, 2001])
+def test_log_trapezoid_cumsum_matches_loop(n):
+    rng = np.random.default_rng(n)
+    t = np.sort(rng.uniform(0.0, 2.0, n))
+    log_f = rng.normal(0.0, 50.0, n)
+    assert np.array_equal(_log_trapezoid_cumsum(t, log_f), _log_trapezoid_cumsum_loop(t, log_f))
+    # exp(log_f) = 1 + t integrates exactly under the trapezoid rule
+    t = np.linspace(0.0, 1.0, n)
+    expected = np.log(t[1:] + t[1:] ** 2 / 2.0) if n > 1 else []
+    np.testing.assert_allclose(_log_trapezoid_cumsum(t, np.log1p(t))[1:], expected,
+                               rtol=0, atol=1e-14)
 
 
 def test_saturated_mhd_holds():

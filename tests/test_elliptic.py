@@ -225,8 +225,9 @@ def test_warm_start_is_consistent(grid):
 def test_predicted_starts_match_cold_solves(delta, monkeypatch):
     # Every solve of a run starts from the WarmStart prediction; a cold solve
     # of the same state must give the same velocity to solver tolerance.
-    # The steps after the fourth use the stage correction, and the shorter
-    # sixth step changes the offsets, so its correction is skipped.
+    # The steps after the fourth use the stage correction; the shorter sixth
+    # step and the one after it change the offsets, so their corrections are
+    # scaled by the squared offset ratio.
     tol = 1e-10
     solve = models.recover_velocity_detailed
     seen = []
@@ -274,6 +275,19 @@ def test_predicted_starts_cut_iterations():
     assert result.status == 0, result.termination
     assert result.solver["solves"] == 33
     assert result.solver["iterations_total"] <= 161
+
+
+def test_scaled_stage_correction_cuts_cfl_limited_iterations():
+    # A CFL-limited run changes dt every step.  Adding the stage correction
+    # only at an unchanged offset took 185 iterations over these 21 solves;
+    # scaling it by (h / h0)^2 takes 176.
+    cfg = RunConfig(model="iie", nx=64, ny=64, delta=2.8,
+                    delta_norm="inv_rho_minus_1_W2p", t_end=0.3, dt_max=1.0,
+                    track_particles=False, diag_every=1000)
+    result = run(cfg)
+    assert result.status == 0, result.termination
+    assert result.solver["solves"] == 21
+    assert result.solver["iterations_total"] <= 176
 
 
 def test_pcg_transforms_per_iteration(grid, fft_counts):

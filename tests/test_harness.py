@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -243,3 +245,37 @@ def test_benchmark_layer_entry_points_exist(monkeypatch):
     missing = [f"{module}.{attr}" for module, attr, _ in spans.LAYER_SPANS
                if not hasattr(importlib.import_module(module), attr)]
     assert spans.LAYER_SPANS and not missing
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+RUN_16 = ("from fluidspan.harness import RunConfig, run\n"
+          "assert run(RunConfig(model='euler', nx=16, ny=16, t_end=0.05, dt_max=0.01, "
+          "particle_m=8, track_particles={})).status == 0\n")
+
+
+def _scipy_loaded(code):
+    """The scipy modules a fresh interpreter has loaded after running code."""
+    code += ("import json, sys\n"
+             "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return set(json.loads(proc.stdout.strip().splitlines()[-1]))
+
+
+def test_particles_off_run_imports_no_scipy():
+    # scipy is imported at its call sites only (~0.5 s of a cold start)
+    assert _scipy_loaded("import fluidspan\n" + RUN_16.format(False)) == set()
+
+
+def test_particles_run_imports_only_scipy_sparse():
+    loaded = _scipy_loaded(RUN_16.format(True))
+    assert "scipy.sparse" in loaded
+    assert not loaded & {"scipy.integrate", "scipy.special", "scipy.spatial"}
+
+
+def test_bounds_command_imports_no_scipy():
+    code = ("from fluidspan.cli import main\n"
+            "assert main(['bounds', '--model', 'boussinesq', '--c', '3']) == 0\n")
+    assert _scipy_loaded(code) == set()
