@@ -51,8 +51,6 @@ from .models import (
     conserved_quantities,
     elsasser_transform,
     initial_state,
-    rhs,
-    step,
 )
 
 __all__ = [
@@ -92,12 +90,10 @@ __all__ = [
     "mhd_constants",
     "poisson_bracket",
     "recover_velocity_detailed",
-    "rhs",
     "run",
     "run_to_directory",
     "sobolev_norm",
     "solve_div_form",
     "spectral_derivative",
-    "step",
     "sweep",
 ]

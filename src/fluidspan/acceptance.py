@@ -345,12 +345,12 @@ def criterion_kato_ratio():
     return sup <= 10.0, f"sup ratio {sup:.4f} (bound 10)", {"sup": sup}
 
 
-def _conservation_run(model, delta, norm="rho_minus_1_W2p", profile="default",
-                      n=256, t_end=5.0, sample_every=10):
-    """Bare integration loop sampling the conserved quantities."""
+def _conservation_run(model, delta, norm="rho_minus_1_W2p", profile="default"):
+    """Bare loop at 256^2 to t = 5 sampling the conserved quantities every 10 steps."""
     from .models import cfl_limit, conserved_quantities
 
-    grid = Grid(n)
+    t_end = 5.0
+    grid = Grid(256)
     state = initial_state(model, grid, delta=delta, delta_norm=norm,
                           seed_profile=profile)
     samples = [conserved_quantities(state)]
@@ -359,7 +359,7 @@ def _conservation_run(model, delta, norm="rho_minus_1_W2p", profile="default",
         dt = min(0.01, cfl_limit(state), t_end - state.t)
         state, _ = step_detailed(state, dt, check_cfl=False)
         steps += 1
-        if steps % sample_every == 0 or state.t >= t_end - 1e-12:
+        if steps % 10 == 0 or state.t >= t_end - 1e-12:
             samples.append(conserved_quantities(state))
     return samples
 

@@ -129,11 +129,6 @@ def closure_lifespan(spec):
                          log_d=math.log(c0))
 
 
-def closure_log_envelope(spec, t):
-    """log E(t) = C1 exp(C2 e^{C3 t}) of the closure's comparison function."""
-    return spec.c1 * math.exp(spec.c2 * math.exp(spec.c3 * t))
-
-
 def boussinesq_closure_spec(lam):
     """Closure data of the Boussinesq theorem: m = 1, F_1 = Y = int(M + N).
 
@@ -256,8 +251,8 @@ def mhd_constants(c):
     return consts, bound
 
 
-def mhd_certificate(consts, samples=20):
-    """Check f(delta0) < 1 and f'(delta) > 0 on (0, delta0) at log-spaced points.
+def mhd_certificate(consts):
+    """Check f(delta0) < 1 and f'(delta) > 0 on (0, delta0) at 20 log-spaced points.
 
     f' > 0 reduces to gamma(delta) > 1 / (alpha(delta) beta(delta)); the proof
     guarantees gamma >= 2 and alpha beta >= 1 below delta0.
@@ -266,7 +261,7 @@ def mhd_certificate(consts, samples=20):
         return {"f_at_delta0_ok": False, "monotone_ok": False, "min_margin": -np.inf}
     log_d = math.log(consts.c4_prime)
     margins = []
-    for s in np.linspace(1.0, 3.0, samples):  # delta = delta0^s, s >= 1
+    for s in np.linspace(1.0, 3.0, 20):  # delta = delta0^s, s >= 1
         log_delta = s * consts.log_delta0
         alpha = log_d - log_delta
         beta = math.log(alpha / consts.c2)
@@ -570,9 +565,9 @@ def bootstrap_monitor(series, model, delta, c_fit=1.0):
                          margins=margins, t_emp=t_emp, unconditional=False)
 
 
-def calibrate_c_fit(series, model, floor=1.0):
-    """Smallest constant making the non-perturbative inequalities hold on a
-    delta = 0 calibration run (then frozen by the caller).
+def calibrate_c_fit(series, model):
+    """Smallest constant, at least 1, making the non-perturbative inequalities
+    hold on a delta = 0 calibration run (then frozen as harness.FROZEN_C_FIT).
 
     The ratios below mirror each model's differential-inequality system
     with the perturbative terms dropped; the result is a calibration
@@ -599,7 +594,7 @@ def calibrate_c_fit(series, model, floor=1.0):
         ratios.append(np.max(np.log(np.maximum(z_arr, 1.0)) / (1.0 + iy)))
     else:  # Boussinesq (and Euler as its delta = 0 twin)
         ratios.append(np.max(g_m / (1.0 + np.log(2.0 + g_n))))
-    return max(float(max(ratios)), floor)
+    return max(float(max(ratios)), 1.0)
 
 
 def theory_window(model, c_fit, delta):

@@ -66,12 +66,13 @@ def _build_parser():
     p_bounds.add_argument("--model", required=True,
                           choices=["generic", "boussinesq", "iie",
                                    "iie-continuation", "mhd"])
-    p_bounds.add_argument("--c", type=float, default=3.0)
-    p_bounds.add_argument("--delta", type=float, default=None)
-    p_bounds.add_argument("--log10-delta", type=float, default=None)
-    p_bounds.add_argument("--c1", type=float, default=1.0)
-    p_bounds.add_argument("--c2", type=float, default=1.0)
-    p_bounds.add_argument("--c3", type=float, default=1.0)
+    # numbers are parsed by _number, so a bad one is a config error (exit 2)
+    p_bounds.add_argument("--c", default="3.0")
+    p_bounds.add_argument("--delta", default=None)
+    p_bounds.add_argument("--log10-delta", default=None)
+    p_bounds.add_argument("--c1", default="1.0")
+    p_bounds.add_argument("--c2", default="1.0")
+    p_bounds.add_argument("--c3", default="1.0")
     p_bounds.add_argument("--kappa", default="1")
     p_bounds.add_argument("--zeta", default="1")
     p_bounds.add_argument("--out", default=None)
@@ -79,6 +80,29 @@ def _build_parser():
     p_verify = sub.add_parser("verify", help="run the acceptance suite")
     p_verify.add_argument("--suite", required=True)
     return parser
+
+
+def _number(option, text):
+    """The finite float that an option's text spells; otherwise a ConfigError."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise ConfigError(f"{option} expects a finite number, got {text!r}")
+    return x
+
+
+def _log_delta(args):
+    """log(delta) from --delta or --log10-delta; None when neither is given."""
+    if args.delta is not None:
+        delta = _number("--delta", args.delta)
+        if delta <= 0:
+            raise ConfigError(f"--delta must be positive, got {args.delta!r}")
+        return math.log(delta)
+    if args.log10_delta is not None:
+        return _number("--log10-delta", args.log10_delta) * math.log(10.0)
+    return None
 
 
 def _cmd_run(args):
@@ -91,7 +115,7 @@ def _cmd_run(args):
 
 def _cmd_sweep(args):
     config = parse_config_file(args.config)
-    deltas = [float(tok) for tok in args.deltas.split(",") if tok.strip()]
+    deltas = [_number("--deltas", tok) for tok in args.deltas.split(",") if tok.strip()]
     rows = sweep(config, deltas, out_dir=args.out)
     for row in rows:
         if row["unconditional"]:
@@ -118,18 +142,21 @@ def _log_grid(bound):
 
 
 def _cmd_bounds(args):
-    report = {"model": args.model, "C": args.c}
+    c = _number("--c", args.c)
+    log_delta = _log_delta(args)
+    report = {"model": args.model, "C": c}
     lines = []
     if args.model == "generic":
-        kappa = tuple(float(x) for x in str(args.kappa).split(","))
-        zeta = tuple(float(x) for x in str(args.zeta).split(","))
-        spec = ClosureSpec(kappa=kappa, zeta=zeta, c1=args.c1, c2=args.c2, c3=args.c3)
+        spec = ClosureSpec(kappa=tuple(_number("--kappa", x) for x in args.kappa.split(",")),
+                           zeta=tuple(_number("--zeta", x) for x in args.zeta.split(",")),
+                           c1=_number("--c1", args.c1), c2=_number("--c2", args.c2),
+                           c3=_number("--c3", args.c3))
         bound = closure_lifespan(spec)
         report.update(C0=bound.c0, log10_delta0=bound.log10_delta0)
         lines.append(f"C0 = {bound.c0:.12g}")
         lines.append(f"log10(delta0) = {bound.log10_delta0:.12g}")
     elif args.model == "boussinesq":
-        lam = growth_constants(args.c)
+        lam = growth_constants(c)
         bound = boussinesq_bound(lam)
         report.update(Lambda1=lam.lambda1, Lambda2=lam.lambda2,
                       Lambda3=lam.lambda3, Lambda4=lam.lambda4,
@@ -139,23 +166,21 @@ def _cmd_bounds(args):
         lines.append(f"C0 = {bound.c0:.12g}")
         lines.append(f"log10(delta0) = {bound.log10_delta0:.12g}")
     elif args.model == "iie":
-        bound = iie_lifespan(args.c)
+        bound = iie_lifespan(c)
         report.update(C0=bound.c0, log10_delta0=bound.log10_delta0)
         lines.append(f"C0 = {bound.c0:.12g}")
         lines.append(f"log10(delta0) = {bound.log10_delta0:.12g}")
     elif args.model == "iie-continuation":
-        budget = iie_continuation_budget(args.c)
+        budget = iie_continuation_budget(c)
         report.update(log10_delta0_bound=budget.log10_delta0_bound)
         lines.append(f"log10(delta0 bound) = {budget.log10_delta0_bound:.12g}")
-        if args.delta is not None or args.log10_delta is not None:
-            log_delta = (math.log(args.delta) if args.delta is not None
-                         else args.log10_delta * math.log(10.0))
+        if log_delta is not None:
             u = budget.budget_of_log_delta(log_delta)
             report["U_budget"] = u
             lines.append(f"U budget = {u:.12g}")
         bound = None
     else:  # mhd
-        consts, bound = mhd_constants(args.c)
+        consts, bound = mhd_constants(c)
         cert = mhd_certificate(consts)
         report.update(C1=consts.c1, C2=consts.c2, C3=consts.c3, C4=consts.c4,
                       C4_prime=consts.c4_prime, log10_delta0=consts.log10_delta0,
@@ -170,10 +195,8 @@ def _cmd_bounds(args):
         lines.append(f"log f(delta0) = {consts.log_f_at_delta0:.12g} (< 0)")
         lines.append(f"certificate: {cert}")
 
-    if args.model != "iie-continuation" and bound is not None:
-        if args.delta is not None or args.log10_delta is not None:
-            log_delta = (math.log(args.delta) if args.delta is not None
-                         else args.log10_delta * math.log(10.0))
+    if bound is not None:
+        if log_delta is not None:
             t = bound.time_of_log_delta(log_delta)
             report["T_delta"] = t
             lines.append(f"T(delta) = {t:.12g}")

@@ -49,6 +49,7 @@ from .fields import (
     biot_savart_coeffs,
     derivative_hat,
     gradient_values,
+    half_plane_dot,
 )
 
 VACUUM_FLOOR = 1e-8
@@ -113,9 +114,7 @@ def _pcg_solve(grid, mu, rhs, tol, max_iter=500, x0=None):
     size = grid.nx * grid.ny
 
     def dot(a, b):
-        # Half-plane weights: 2, but 1 on the ky = 0 and Nyquist columns.
-        full = 2.0 * np.vdot(a, b) - np.vdot(a[:, 0], b[:, 0]) - np.vdot(a[:, -1], b[:, -1])
-        return float(full.real) / size
+        return half_plane_dot(a, b) / size
 
     def norm(a):
         return math.sqrt(dot(a, a))

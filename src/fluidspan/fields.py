@@ -8,8 +8,8 @@ time integrator in :mod:`fluidspan.models` works on these kernels directly.
 
 :class:`ScalarField` carries physical samples on a uniform nx x ny grid
 together with an on-demand rfft2 mirror; the field-level toolbox
-(derivatives, inverse Laplacian, Biot-Savart, Poisson bracket, advection,
-dealiasing) wraps the kernels.  Fields are immutable after construction:
+(derivatives, inverse Laplacian, Biot-Savart, Poisson bracket, dealiasing)
+wraps the kernels.  Fields are immutable after construction:
 every operation returns a new field, so they are safe to share across
 threads.
 """
@@ -24,6 +24,9 @@ TWO_PI = 2.0 * np.pi
 
 # Fraction of the Nyquist range kept by dealias (Orszag's 2/3 rule).
 DEALIAS_FRACTION = 2.0 / 3.0
+
+# Largest mean, relative to the rms, that the inverse Laplacian accepts.
+MEAN_TOL = 1e-10
 
 
 class Grid:
@@ -130,14 +133,8 @@ class ScalarField:
     def __add__(self, other):
         return ScalarField(self.grid, self.values + _coerce(self, other))
 
-    def __radd__(self, other):
-        return self.__add__(other)
-
     def __sub__(self, other):
         return ScalarField(self.grid, self.values - _coerce(self, other))
-
-    def __rsub__(self, other):
-        return ScalarField(self.grid, _coerce(self, other) - self.values)
 
     def __mul__(self, other):
         return ScalarField(self.grid, self.values * _coerce(self, other))
@@ -166,11 +163,6 @@ class VectorField:
 
     def max_abs(self):
         return float(np.sqrt(np.max(self.u.values**2 + self.v.values**2)))
-
-    def __mul__(self, scalar):
-        return VectorField(self.u * scalar, self.v * scalar)
-
-    __rmul__ = __mul__
 
 
 def _coerce(field, other):
@@ -253,12 +245,6 @@ def derivative_planes(grid, hat, j):
     return [to_physical(grid, derivative_hat(grid, hat, a, j - a)) for a in range(j, -1, -1)]
 
 
-def advection_hat(grid, u1, u2, f_hat):
-    """Dealiased coefficients of u . grad f for physical velocity components."""
-    fx, fy = gradient_values(grid, f_hat)
-    return product_hat(grid, u1 * fx + u2 * fy)
-
-
 def bracket_hat(grid, f_hat, g_hat):
     """Dealiased coefficients of {f, g} = grad^perp f . grad g."""
     fx, fy = gradient_values(grid, f_hat)
@@ -301,25 +287,31 @@ def laplacian(f):
     return ScalarField.from_hat(f.grid, -f.grid.K2 * f.hat)
 
 
+def half_plane_dot(a, b):
+    """Re sum(conj(A) B) over the full spectrum from the rfft2 half planes a, b
+    (interior ky columns twice, ky = 0 and Nyquist once): nx ny times the grid
+    sum of the two fields' product, by Parseval.  Builds no temporary."""
+    full = 2.0 * np.vdot(a, b) - np.vdot(a[:, 0], b[:, 0]) - np.vdot(a[:, -1], b[:, -1])
+    return float(full.real)
+
+
 def _require_mean_zero(grid, hat, mean_tol):
     """The torus Laplacian is only invertible on mean-zero data.
 
     Both the mean hat[0, 0] / (nx ny) and the scale it is held against,
-    the field's rms, come from the coefficients: the rms by Parseval with
-    the half-plane weights, as dot products that build no temporary.
+    the field's rms, come from the coefficients: the rms by Parseval
+    (:func:`half_plane_dot`).
     """
     size = grid.nx * grid.ny
     m = float(hat[0, 0].real) / size
-    power = (2.0 * np.vdot(hat, hat) - np.vdot(hat[:, 0], hat[:, 0])
-             - np.vdot(hat[:, -1], hat[:, -1]))
-    rms = np.sqrt(max(float(power.real), 0.0)) / size
+    rms = np.sqrt(max(half_plane_dot(hat, hat), 0.0)) / size
     if abs(m) > mean_tol * max(rms, 1e-300):
         raise SolvabilityError(
             f"inverse Laplacian needs a mean-zero field; offending mean = {m:.3e}"
         )
 
 
-def invert_laplacian(f, mean_tol=1e-10):
+def invert_laplacian(f, mean_tol=MEAN_TOL):
     """Solve Laplace(g) = f for the unique mean-zero g.
 
     A right-hand side whose mean exceeds mean_tol times its rms raises
@@ -330,19 +322,19 @@ def invert_laplacian(f, mean_tol=1e-10):
     return ScalarField.from_hat(f.grid, inverse_laplacian_hat(f.grid, f.hat))
 
 
-def biot_savart(omega, mean_tol=1e-10):
+def biot_savart(omega):
     """Velocity u = grad^perp Laplace^{-1} omega; div-free with curl u = omega.
 
-    An omega whose mean exceeds mean_tol times its rms raises
+    An omega whose mean exceeds MEAN_TOL times its rms raises
     SolvabilityError (see :func:`invert_laplacian`).
     """
-    return biot_savart_coeffs(omega.grid, omega.hat, mean_tol)
+    return biot_savart_coeffs(omega.grid, omega.hat)
 
 
-def biot_savart_coeffs(grid, omega_hat, mean_tol=1e-10):
+def biot_savart_coeffs(grid, omega_hat):
     """:func:`biot_savart` from omega's rfft2 coefficients: two inverse
     transforms, none for omega itself."""
-    _require_mean_zero(grid, omega_hat, mean_tol)
+    _require_mean_zero(grid, omega_hat, MEAN_TOL)
     u1, u2 = velocity_hat(grid, omega_hat)
     return VectorField(ScalarField.from_hat(grid, u1), ScalarField.from_hat(grid, u2))
 
@@ -359,12 +351,6 @@ def poisson_bracket(f, g):
     """
     grid = same_grid(f, g)
     return ScalarField.from_hat(grid, bracket_hat(grid, f.hat, g.hat))
-
-
-def advection(w, f):
-    """Transport term u . grad f, dealiased."""
-    grid = same_grid(w.u, f)
-    return ScalarField.from_hat(grid, advection_hat(grid, w.u.values, w.v.values, f.hat))
 
 
 # ---------------------------------------------------------------------------
@@ -482,17 +468,17 @@ def half_plane_weights(grid):
     return w
 
 
-def tail_enstrophy_fraction(omega, band=0.125):
-    """Fraction of enstrophy carried by the top ``band`` of wavenumbers.
+def tail_enstrophy_fraction(omega):
+    """Fraction of enstrophy carried by the top eighth of wavenumbers.
 
-    Uses the max(|kx|, |ky|) annulus against the Nyquist range; a fraction
-    above ~1e-6 flags resolution loss.
+    Uses the max(|kx|, |ky|) annulus beyond 7/8 of the Nyquist range; a
+    fraction above ~1e-6 flags resolution loss.
     """
     g = omega.grid
     hat = omega.hat
     power = half_plane_weights(g) * np.abs(hat) ** 2
     kmax = min(g.nx, g.ny) / 2
-    ring = np.maximum(np.abs(g.KX), np.abs(g.KY)) > (1.0 - band) * kmax
+    ring = np.maximum(np.abs(g.KX), np.abs(g.KY)) > 0.875 * kmax
     total = float(np.sum(power))
     if total == 0.0:
         return 0.0

@@ -56,10 +56,10 @@ RUN_CSV_HEADER = ("t,M,M_measured,N,Q,Y,Z,omega_inf,omega_w1p,rho_w2p,"
                   "u_inf,u_w2p,B_w2p,E_kinetic,E_model,cross_helicity,mass,"
                   "momentum_x,momentum_y,detJ_err,tail_enstrophy")
 
-# Calibration artifacts: smallest constants making each model's
-# non-perturbative inequalities hold on the delta = 0 run of the default
-# profile (128^2, t_end = 2, p = 4); regenerate with demos/05 or
-# bootstrap.calibrate_c_fit.  Frozen here; config key c_fit overrides.
+# Calibration artifacts: bootstrap.calibrate_c_fit on each model's delta = 0
+# run of the default profile (128^2, t_end = 2, p = 4), rounded to 6
+# decimals: the smallest constants making its non-perturbative inequalities
+# hold.  Frozen here; config key c_fit overrides.
 FROZEN_C_FIT = {
     ModelKind.EULER: 3.373141,
     ModelKind.BOUSSINESQ: 3.373141,
@@ -102,8 +102,8 @@ class RunConfig:
         for name in ("delta", "t_end", "dt_max", "cfl", "c_fit"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.delta < 0:
-            raise ConfigError("delta must be nonnegative")
+        if self.delta < 0 or self.c_fit < 0:
+            raise ConfigError("delta and c_fit must be nonnegative")
         if self.t_end < 0:
             raise ConfigError("t_end must be nonnegative")
         if self.dt_max <= 0 or self.cfl <= 0:
@@ -401,8 +401,8 @@ def _sweep_worker(args):
 def validate_deltas(deltas):
     if not deltas:
         raise ConfigError("delta list must be nonempty")
-    if any(d < 0 for d in deltas):
-        raise ConfigError("deltas must be nonnegative")
+    if not all(math.isfinite(d) and d >= 0 for d in deltas):
+        raise ConfigError(f"deltas must be finite and nonnegative, got {list(deltas)}")
     if len(set(deltas)) != len(deltas):
         raise ConfigError("duplicate delta values")
     if list(deltas) != sorted(deltas, reverse=True):

@@ -22,8 +22,7 @@ On top of the ensemble this module tracks the stretching quantities
     M = exp(int ||grad u||_inf),   N = exp(int ||grad u||_{1,p}),
 
 their measured counterpart sup(|grad X|, |grad A|), the model-specific
-memory integrals Q / Y / Z, the Duhamel vorticity reconstruction, and
-numerical checks of the linear-transport inequalities.
+memory integrals Q / Y / Z, and the Duhamel vorticity reconstruction.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ from .fields import (
     lp_terms,
     operator_norm_2x2,
     sobolev_norm,
-    to_physical,
     TWO_PI,
 )
 from .models import MHD_KINDS, ModelKind
@@ -292,8 +290,8 @@ def _map_residual(targets, labels, dx, dy):
     return np.mod(targets - x_at + np.pi, TWO_PI) - np.pi
 
 
-def back_to_label(ens, grid, newton_steps=2):
-    """Inverse flow map A on the grid: nearest label seed plus Newton polish.
+def back_to_label(ens, grid):
+    """Inverse flow map A on the grid: nearest label seed plus two Newton steps.
 
     Returns an (nx, ny, 2) array of labels with X(A(x)) = x up to
     interpolation error.  Each Newton step reads X - a and grad X at the
@@ -318,7 +316,7 @@ def back_to_label(ens, grid, newton_steps=2):
     disp = ens.x - ens.labels
     label_map = _on_labels(m, (disp[..., 0], disp[..., 1],
                                *(ens.jac[..., a, b] for a in range(2) for b in range(2))))
-    for _ in range(newton_steps):
+    for _ in range(2):
         dx, dy, a, b, c, d = label_map(labels)
         r = _map_residual(targets, labels, dx, dy)
         det = a * d - b * c
@@ -326,16 +324,6 @@ def back_to_label(ens, grid, newton_steps=2):
         db = (-c * r[:, 0] + a * r[:, 1]) / det
         labels = np.mod(labels + np.stack([da, db], axis=-1), TWO_PI)
     return labels.reshape(grid.nx, grid.ny, 2)
-
-
-def back_to_label_residual(ens, grid, labels):
-    """Grid supremum of |X(A(x)) - x| after inverse interpolation."""
-    labels = labels.reshape(-1, 2)
-    disp = ens.x - ens.labels
-    dx, dy = _on_labels(ens.m, (disp[..., 0], disp[..., 1]))(labels)
-    targets = np.stack([grid.X, grid.Y], axis=-1).reshape(-1, 2)
-    r = _map_residual(targets, labels, dx, dy)
-    return float(np.max(np.hypot(r[:, 0], r[:, 1])))
 
 
 # ---------------------------------------------------------------------------
@@ -638,54 +626,3 @@ def duhamel_vorticity(ens, history, grid):
     rec = _on_labels(ens.m, (values,))(labels)[0]
     return ScalarField(grid, rec)
 
-
-# ---------------------------------------------------------------------------
-# transport-lemma checks
-# ---------------------------------------------------------------------------
-
-def check_transport_lemma(ens, f, p):
-    """Both sides of ||grad(f o X)||_r <= ||grad X||_inf ||grad f||_r, r in {p, inf}.
-
-    Returns a dict of (lhs, rhs, margin) per r; margins should be
-    nonnegative up to interpolation error.
-    """
-    grid = f.grid
-    hats = gradient_hat(grid, f.hat)
-    f1, f2 = PeriodicInterpolator(hats, (grid.nx, grid.ny))(np.mod(ens.x, TWO_PI))
-    mags = np.hypot(*_pull_back(ens.jac, f1, f2))
-
-    m = ens.m
-    label_area = (TWO_PI / m) ** 2
-    sup_jac = jacobian_norms(ens)[0]
-    grad_f = np.hypot(*(to_physical(grid, h) for h in hats))
-    out = {}
-    for r in (p, np.inf):
-        lhs = lp_norm(mags, r, label_area)
-        rhs = sup_jac * lp_norm(grad_f, r, grid.cell_area)
-        out[r] = {"lhs": lhs, "rhs": rhs, "margin": rhs - lhs}
-    return out
-
-
-def check_w1p_bounds(series, delta, c_fit):
-    """Margins of the a-priori W^{1,p} bounds along a recorded series.
-
-    omega side: ||omega||_{1,p} <= c (1 + M + delta M Q_K) with Q_K the
-    model's forcing memory; rho side: ||rho||_{2,p} <= c (1 + delta (M + N + M^2)).
-    Returns per-sample margins (rhs - lhs >= 0 when c_fit is adequate).
-    """
-    m_arr = series.M()
-    n_arr = series.N()
-    omega_margins = []
-    rho_margins = []
-    for i, _ in enumerate(series.t):
-        if series.kind is ModelKind.BOUSSINESQ:
-            q_k = series.y[i]  # K0 = 1, Kp = 0: the memory is int (M + N)
-        elif series.kind is ModelKind.IIE:
-            q_k = series.q[i]
-        else:
-            q_k = 0.0
-        rhs = c_fit * (1.0 + m_arr[i] + delta * m_arr[i] * q_k)
-        omega_margins.append(rhs - series.omega_w1p[i])
-        rhs_rho = c_fit * (1.0 + delta * (m_arr[i] + n_arr[i] + m_arr[i] ** 2))
-        rho_margins.append(rhs_rho - series.rho_w2p[i])
-    return {"omega": np.array(omega_margins), "rho": np.array(rho_margins)}

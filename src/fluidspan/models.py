@@ -232,12 +232,6 @@ def _coupling(grid, omega_hat, current_hat):
     return 2.0 * (psi_xy * phi_d - phi_xy * psi_d)
 
 
-def _q_hat(grid, omega_hat, current_hat):
-    """Dealiased coefficients of the MHD coupling Q(omega, J) (see
-    :func:`_coupling`)."""
-    return product_hat(grid, _coupling(grid, omega_hat, current_hat))
-
-
 def elsasser_transform(omega, current):
     """Forward map (omega, J) -> (xi, eta) = (omega + J, omega - J)."""
     same_grid(omega, current)
@@ -295,25 +289,19 @@ def _tendency(state):
     return domega, -product_hat(g, u1 * rho_x + u2 * rho_y)
 
 
-def rhs(state):
-    """Model tendency at the state's time, as ScalarFields ordered like
-    FIELD_NAMES[state.kind]; all quadratic terms dealiased."""
-    return tuple(ScalarField.from_hat(state.grid, d) for d in _tendency(state))
-
-
-def cfl_limit(state, cfl_number=0.5, eps=1e-12):
+def cfl_limit(state, cfl_number=0.5):
     """Largest stable step: cfl * dx / wave speed.
 
     The MHD wave speed is bounded by ||u||_inf + ||B||_inf (both Elsasser
-    characteristics).  A quiescent state returns a huge but finite value;
-    callers cap it with dt_max.
+    characteristics).  A quiescent state (wave speed below 1e-12) returns a
+    huge but finite value; callers cap it with dt_max.
     """
     g = state.grid
     dx = min(g.dx, g.dy)
     speed = state.velocity().max_abs()
     if state.kind in MHD_KINDS:
         speed += state.magnetic_field().max_abs()
-    return cfl_number * dx / max(speed, eps)
+    return cfl_number * dx / max(speed, 1e-12)
 
 
 def step_detailed(state, dt, check_cfl=True):
@@ -345,12 +333,6 @@ def step_detailed(state, dt, check_cfl=True):
     if not all(np.all(np.isfinite(c)) for c in new):
         raise InstabilityError(f"non-finite state after RK4 step at t = {t}")
     return state.advanced(t + dt, new), stages
-
-
-def step(state, dt, check_cfl=True):
-    """Advance the state by one RK4 step of size dt."""
-    new, _ = step_detailed(state, dt, check_cfl=check_cfl)
-    return new
 
 
 def conserved_quantities(state, p=4):

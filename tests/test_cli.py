@@ -37,6 +37,25 @@ def test_bounds_iie_continuation(capsys):
     assert "U budget" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["--model", "boussinesq", "--c", "3", "--delta", "0"],
+    ["--model", "boussinesq", "--c", "3", "--delta", "-1"],
+    ["--model", "boussinesq", "--c", "3", "--log10-delta", "nan"],
+    ["--model", "iie-continuation", "--c", "1", "--delta", "0"],
+    ["--model", "iie", "--c", "inf"],
+    ["--model", "generic", "--kappa", "abc"],
+], ids=["delta-0", "delta-negative", "log10-delta-nan", "continuation-delta-0",
+        "c-inf", "kappa-abc"])
+def test_bounds_bad_number_exit_2(tmp_path, capsys, argv):
+    # a number that is not one, not finite or outside its domain is a config
+    # error: one line, no traceback, nothing written
+    out = tmp_path / "bounds"
+    assert main(["bounds", *argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 def test_run_invalid_config_exit_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("model = navier\n")
@@ -54,14 +73,16 @@ def test_run_invalid_config_exit_2(tmp_path, capsys):
         cfg3.write_text(f"model = iie\nelliptic_tol = {tol}\n")
         assert main(["run", "--config", str(cfg3)]) == 2
 
-    # non-finite numbers fail at parse time, before any step is taken
-    for key in ("delta", "t_end", "dt_max", "cfl", "c_fit"):
-        for bad in ("nan", "inf", "-inf"):
-            cfg4 = tmp_path / "bad4.cfg"
-            cfg4.write_text(f"model = boussinesq\nnx = 16\nny = 16\n{key} = {bad}\n")
-            out = tmp_path / "o4"
-            assert main(["run", "--config", str(cfg4), "--out", str(out)]) == 2, (key, bad)
-            assert not (out / "run.csv").exists()
+    # non-finite numbers, and a negative c_fit, fail at parse time, before
+    # any step is taken
+    cases = [(key, bad) for key in ("delta", "t_end", "dt_max", "cfl", "c_fit")
+             for bad in ("nan", "inf", "-inf")] + [("c_fit", "-1")]
+    for key, bad in cases:
+        cfg4 = tmp_path / "bad4.cfg"
+        cfg4.write_text(f"model = boussinesq\nnx = 16\nny = 16\n{key} = {bad}\n")
+        out = tmp_path / "o4"
+        assert main(["run", "--config", str(cfg4), "--out", str(out)]) == 2, (key, bad)
+        assert not (out / "run.csv").exists()
 
 
 def test_removed_keys_exit_2(tmp_path, capsys):
@@ -160,10 +181,17 @@ def test_run_and_sweep_roundtrip(tmp_path, capsys):
     assert len(lines) == 3
 
 
-def test_sweep_duplicate_deltas_exit_2(tmp_path):
+@pytest.mark.parametrize("deltas", ["0.1,0.1", "inf,1e-2", "1e-1,nan", "abc"])
+def test_sweep_duplicate_deltas_exit_2(tmp_path, capsys, deltas):
+    # a bad delta list fails before any member runs or any file is written
     cfg = tmp_path / "run.cfg"
     cfg.write_text("model = euler\nnx = 32\nny = 32\nt_end = 0.05\n")
-    assert main(["sweep", "--config", str(cfg), "--deltas", "0.1,0.1"]) == 2
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg), "--deltas", deltas, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert not (out / "sweep.csv").exists()
+    assert not (out / "delta_00").exists()
 
 
 def test_verify_unknown_suite_exit_2(capsys):

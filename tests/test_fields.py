@@ -13,6 +13,7 @@ from fluidspan.fields import (
     dealias,
     divergence,
     grad_u_inf_norm,
+    half_plane_dot,
     inverse_laplacian_hat,
     invert_laplacian,
     kato_ratio,
@@ -184,6 +185,18 @@ def test_mean_check_is_held_against_the_rms(grid):
     for solve in (invert_laplacian, biot_savart):
         with pytest.raises(SolvabilityError):
             solve(ScalarField(grid, g + 0.75e-10))
+
+
+@pytest.mark.parametrize("shape", [(32, 32), (24, 40)])
+def test_half_plane_dot_is_parseval(shape):
+    # Random fields carry Nyquist content, so the ky = 0 and Nyquist columns
+    # must count once and the interior twice.
+    g = Grid(*shape)
+    f, h = np.random.default_rng(5).normal(size=(2, g.nx, g.ny))
+    scale = g.nx * g.ny * np.sqrt(np.sum(f * f) * np.sum(h * h))
+    for a, b in ((f, f), (f, h)):
+        got = half_plane_dot(np.fft.rfft2(a), np.fft.rfft2(b))
+        assert abs(got - g.nx * g.ny * np.sum(a * b)) <= 1e-13 * scale
 
 
 def test_biot_savart_zero(grid):

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fluidspan.bootstrap import calibrate_c_fit
 from fluidspan.errors import ConfigError
 from fluidspan.harness import (
+    FROZEN_C_FIT,
     RUN_CSV_HEADER,
     RunConfig,
     config_from_dict,
@@ -204,6 +206,20 @@ def test_validate_deltas():
         validate_deltas([1e-2, 1e-2])  # duplicates
     with pytest.raises(ConfigError):
         validate_deltas([])
+    for bad in ([math.inf, 1e-2], [1e-1, math.nan]):
+        with pytest.raises(ConfigError):
+            validate_deltas(bad)
+
+
+@pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
+def test_frozen_c_fit_rederives(kind):
+    # FROZEN_C_FIT is calibrate_c_fit on the delta = 0 run of the default
+    # profile at 128^2, t_end = 2, p = 4, rounded to 6 decimals.  Particles
+    # are off: the calibrated series does not read the flow map.
+    result = run(RunConfig(model=kind.value, nx=128, ny=128, p=4.0, delta=0.0, t_end=2.0,
+                           track_particles=False))
+    assert result.status == 0
+    assert round(calibrate_c_fit(result.series, kind), 6) == FROZEN_C_FIT[kind]
 
 
 def test_sweep_zero_delta_unconditional(tmp_path):

@@ -3,12 +3,15 @@ import pytest
 from scipy import ndimage
 
 from fluidspan.fields import (
+    TWO_PI,
     Grid,
     ScalarField,
     biot_savart,
+    gradient_hat,
     lp_norm,
     operator_norm_2x2,
     spectral_derivative,
+    to_physical,
 )
 from fluidspan.lagrangian import (
     DuhamelHistory,
@@ -16,13 +19,12 @@ from fluidspan.lagrangian import (
     StageBuffers,
     StageVelocity,
     StretchingSeries,
+    _map_residual,
     _on_labels,
+    _pull_back,
     advect_flow_map,
     analytic_velocity,
     back_to_label,
-    back_to_label_residual,
-    check_transport_lemma,
-    check_w1p_bounds,
     duhamel_vorticity,
     identity_ensemble,
     jacobian_norms,
@@ -301,6 +303,16 @@ def test_jacobian_product_matches_einsum_reference():
     assert np.array_equal(out.jac, g)
 
 
+def back_to_label_residual(ens, grid, labels):
+    """Grid supremum of |X(A(x)) - x| after inverse interpolation."""
+    labels = labels.reshape(-1, 2)
+    disp = ens.x - ens.labels
+    dx, dy = _on_labels(ens.m, (disp[..., 0], disp[..., 1]))(labels)
+    targets = np.stack([grid.X, grid.Y], axis=-1).reshape(-1, 2)
+    r = _map_residual(targets, labels, dx, dy)
+    return float(np.max(np.hypot(r[:, 0], r[:, 1])))
+
+
 def test_back_to_label_consistency():
     ens = identity_ensemble(64)
     prov = shear_provider()
@@ -488,6 +500,58 @@ def test_duhamel_pure_transport_oracle():
     rel = lp_norm(rec.values - state.omega.values, 2, grid.cell_area)
     rel /= lp_norm(state.omega.values, 2, grid.cell_area)
     assert rel <= 1e-3
+
+
+# ---------------------------------------------------------------------------
+# transport-lemma checks
+# ---------------------------------------------------------------------------
+
+def check_transport_lemma(ens, f, p):
+    """Both sides of ||grad(f o X)||_r <= ||grad X||_inf ||grad f||_r, r in {p, inf}.
+
+    Returns a dict of (lhs, rhs, margin) per r; margins should be
+    nonnegative up to interpolation error.
+    """
+    grid = f.grid
+    hats = gradient_hat(grid, f.hat)
+    f1, f2 = PeriodicInterpolator(hats, (grid.nx, grid.ny))(np.mod(ens.x, TWO_PI))
+    mags = np.hypot(*_pull_back(ens.jac, f1, f2))
+
+    m = ens.m
+    label_area = (TWO_PI / m) ** 2
+    sup_jac = jacobian_norms(ens)[0]
+    grad_f = np.hypot(*(to_physical(grid, h) for h in hats))
+    out = {}
+    for r in (p, np.inf):
+        lhs = lp_norm(mags, r, label_area)
+        rhs = sup_jac * lp_norm(grad_f, r, grid.cell_area)
+        out[r] = {"lhs": lhs, "rhs": rhs, "margin": rhs - lhs}
+    return out
+
+
+def check_w1p_bounds(series, delta, c_fit):
+    """Margins of the a-priori W^{1,p} bounds along a recorded series.
+
+    omega side: ||omega||_{1,p} <= c (1 + M + delta M Q_K) with Q_K the
+    model's forcing memory; rho side: ||rho||_{2,p} <= c (1 + delta (M + N + M^2)).
+    Returns per-sample margins (rhs - lhs >= 0 when c_fit is adequate).
+    """
+    m_arr = series.M()
+    n_arr = series.N()
+    omega_margins = []
+    rho_margins = []
+    for i, _ in enumerate(series.t):
+        if series.kind is ModelKind.BOUSSINESQ:
+            q_k = series.y[i]  # K0 = 1, Kp = 0: the memory is int (M + N)
+        elif series.kind is ModelKind.IIE:
+            q_k = series.q[i]
+        else:
+            q_k = 0.0
+        rhs = c_fit * (1.0 + m_arr[i] + delta * m_arr[i] * q_k)
+        omega_margins.append(rhs - series.omega_w1p[i])
+        rhs_rho = c_fit * (1.0 + delta * (m_arr[i] + n_arr[i] + m_arr[i] ** 2))
+        rho_margins.append(rhs_rho - series.rho_w2p[i])
+    return {"omega": np.array(omega_margins), "rho": np.array(rho_margins)}
 
 
 def test_transport_lemma_identity_map():

@@ -6,11 +6,10 @@ from fluidspan.errors import InstabilityError, ParameterError
 from fluidspan.fields import (
     Grid,
     ScalarField,
-    advection,
-    advection_hat,
     biot_savart,
     bracket_hat,
     derivative_hat,
+    gradient_values,
     laplacian,
     lp_norm,
     poisson_bracket,
@@ -20,7 +19,7 @@ from fluidspan.fields import (
 )
 from fluidspan.lagrangian import StretchingSeries, record
 from fluidspan.models import (
-    _q_hat,
+    _coupling,
     _tendency,
     FluidState,
     MHD_KINDS,
@@ -33,16 +32,38 @@ from fluidspan.models import (
     elsasser_transform,
     from_elsasser,
     initial_state,
-    rhs,
-    step,
     step_detailed,
     to_elsasser,
 )
 
 
+def advection_hat(grid, u1, u2, f_hat):
+    """Dealiased coefficients of u . grad f for physical velocity components."""
+    fx, fy = gradient_values(grid, f_hat)
+    return product_hat(grid, u1 * fx + u2 * fy)
+
+
+def advection(w, f):
+    """Transport term u . grad f, dealiased."""
+    grid = same_grid(w.u, f)
+    return ScalarField.from_hat(grid, advection_hat(grid, w.u.values, w.v.values, f.hat))
+
+
+def _q_hat(grid, omega_hat, current_hat):
+    """Dealiased coefficients of the MHD coupling Q(omega, J) (see
+    models._coupling)."""
+    return product_hat(grid, _coupling(grid, omega_hat, current_hat))
+
+
+def rhs(state):
+    """Model tendency at the state's time, as ScalarFields ordered like
+    FIELD_NAMES[state.kind]; all quadratic terms dealiased."""
+    return tuple(ScalarField.from_hat(state.grid, d) for d in _tendency(state))
+
+
 def q_operator(omega, current):
     """Zeroth-order bilinear coupling Q(omega, J) of the MHD
-    vorticity-current system, as a field (see models._q_hat).  Vanishes when
+    vorticity-current system, as a field (see _q_hat).  Vanishes when
     either argument is zero."""
     grid = same_grid(omega, current)
     return ScalarField.from_hat(grid, _q_hat(grid, omega.hat, current.hat))
@@ -211,7 +232,7 @@ def test_elsasser_rhs_reduces_to_transport_when_current_vanishes(grid):
 def test_step_fixed_point_state(grid):
     rho = ScalarField(grid, np.full((grid.nx, grid.ny), 1.0))
     state = FluidState(ModelKind.BOUSSINESQ, 0.0, omega=ScalarField.zeros(grid), rho=rho)
-    new = step(state, dt=0.01, check_cfl=False)
+    new = step_detailed(state, dt=0.01, check_cfl=False)[0]
     assert new.t == pytest.approx(0.01)
     assert new.omega.max_abs() <= 1e-14
     assert np.max(np.abs(new.rho.values - 1.0)) <= 1e-14
@@ -220,7 +241,7 @@ def test_step_fixed_point_state(grid):
 def test_step_rejects_large_dt(grid):
     state = FluidState(ModelKind.EULER, 0.0, omega=default_vorticity(grid))
     with pytest.raises(ParameterError):
-        step(state, dt=10 * cfl_limit(state))
+        step_detailed(state, dt=10 * cfl_limit(state))
 
 
 def test_step_detects_blowup(grid):
@@ -228,14 +249,14 @@ def test_step_detects_blowup(grid):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(InstabilityError):
             for _ in range(8):
-                state = step(state, dt=100.0, check_cfl=False)
+                state = step_detailed(state, dt=100.0, check_cfl=False)[0]
 
 
 def test_euler_eigenstate_short_integration(grid):
     state = FluidState(ModelKind.EULER, 0.0, omega=eigenstate_vorticity(grid))
     omega0 = state.omega.values.copy()
     for _ in range(100):
-        state = step(state, dt=1e-3)
+        state = step_detailed(state, dt=1e-3)[0]
     drift = lp_norm(state.omega.values - omega0, 2, grid.cell_area)
     assert drift / lp_norm(omega0, 2, grid.cell_area) <= 1e-10
 
@@ -275,7 +296,7 @@ def test_elsasser_vorticity_is_built_once(fft_counts):
     # (xi + eta) / 2 is inverse-transformed once per state, however many
     # times a diagnostics row asks for the vorticity: velocity recovery,
     # record and conserved_quantities share it.
-    state = step(initial_state(ModelKind.MHD_ELSASSER, Grid(32), delta=0.1), 0.01)
+    state = step_detailed(initial_state(ModelKind.MHD_ELSASSER, Grid(32), delta=0.1), 0.01)[0]
     xi, eta = state.coeffs
     omega_hat = 0.5 * (xi + eta)
     fft_counts.inputs["irfft2"].clear()
@@ -310,8 +331,8 @@ def test_mhd_formulation_equivalence_short(grid):
     els = to_elsasser(vc)
     dt = 2e-3
     for _ in range(50):
-        vc = step(vc, dt)
-        els = step(els, dt)
+        vc = step_detailed(vc, dt)[0]
+        els = step_detailed(els, dt)[0]
     back = from_elsasser(els)
     rel = lp_norm(back.omega.values - vc.omega.values, 2, grid.cell_area)
     rel /= lp_norm(vc.omega.values, 2, grid.cell_area)
@@ -327,7 +348,7 @@ def test_energy_conservation_smoke(grid):
     rp0 = lp_norm(state.rho.values, 4, grid.cell_area)
     t_end, dt = 0.5, 2.5e-3
     for _ in range(int(t_end / dt)):
-        state = step(state, dt)
+        state = step_detailed(state, dt)[0]
     e1 = conserved_quantities(state)["E_model"]
     rp1 = lp_norm(state.rho.values, 4, grid.cell_area)
     assert abs(e1 - e0) / abs(e0) <= 1e-6
