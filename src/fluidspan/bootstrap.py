@@ -11,20 +11,32 @@ reported as log10), never materialized as floats.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HypothesisError, NestedLogDomainError, ParameterError
+from .errors import ConfigError, HypothesisError, NestedLogDomainError, ParameterError
 from .models import MHD_KINDS, ModelKind
 
 E = math.e
 LOG10 = math.log(10.0)
+LOG_MAX = math.log(sys.float_info.max)
+# Largest C the closed forms take: far above any fitted constant, and far
+# below where they leave double range (the MHD constants square C, which
+# overflows near 1e154).
+C_MAX = 1e100
 
 
 # ---------------------------------------------------------------------------
 # growth constants and closures
 # ---------------------------------------------------------------------------
+
+def _check_c(c):
+    """A C above C_MAX is a bad input, not a theorem's hypothesis failing."""
+    if not c <= C_MAX:
+        raise ConfigError(f"C = {c:.6g} is out of range: the closed forms take C <= {C_MAX:g}")
+
 
 @dataclass(frozen=True)
 class GrowthConstants:
@@ -42,6 +54,7 @@ def growth_constants(c):
     """Lambda_1..Lambda_4 = (1 + log(1 + C), C, 2C, 5C); requires C > e."""
     if not c > E:
         raise HypothesisError(f"growth constants need C > e, got C = {c}")
+    _check_c(c)
     return GrowthConstants(c=c, lambda1=1.0 + math.log1p(c), lambda2=c,
                            lambda3=2.0 * c, lambda4=5.0 * c)
 
@@ -123,6 +136,10 @@ def closure_lifespan(spec):
     """
     worst = max(k * z for k, z in zip(spec.kappa, spec.zeta))
     c0 = 99.0 / (100.0 * worst)
+    if not (c0 > 0.0 and 2.0 * spec.c2 < LOG_MAX
+            and math.isfinite(spec.c1 * math.exp(2.0 * spec.c2))):
+        raise ConfigError("delta0 = C0 exp(-C1 e^{2 C2}) is out of range even in log "
+                          "space: C0 underflows or C1 e^{2 C2} overflows")
     log_delta0 = math.fsum((math.log(c0), -spec.c1 * math.exp(2.0 * spec.c2)))
     return LifespanBound(c0=c0, log_delta0=log_delta0, provenance="generic_closure",
                          a=1.0 / spec.c3, b=1.0 / spec.c2, c=1.0 / spec.c1,
@@ -156,6 +173,7 @@ def iie_closure_spec(c):
     """
     if c < 1.0:
         raise HypothesisError(f"the IIE theorem uses a constant C >= 1, got {c}")
+    _check_c(c)
     lam = growth_constants(9.0 * E**2 * c)
     return ClosureSpec(kappa=(0.5, 0.5, 1.0), zeta=(1.0, 1.0, lam.lambda4),
                        c1=max(lam.lambda2, lam.lambda3), c2=1.0, c3=lam.lambda1)
@@ -197,6 +215,7 @@ def iie_continuation_budget(c):
     """
     if c < 1.0:
         raise HypothesisError(f"the continuation theorem uses C >= 1, got {c}")
+    _check_c(c)
     log_bound = math.fsum((math.log(3.0 / (100.0 * c)), -12.0 * c * E))
     return ContinuationBudget(c=c, log_delta0_bound=log_bound)
 
@@ -231,6 +250,7 @@ def mhd_constants(c):
     """
     if c < 1.0:
         raise HypothesisError(f"the MHD theorem uses C >= 1, got {c}")
+    _check_c(c)
     c1 = 6.0 * c * c
     c2 = E**2 / 6.0
     c3 = E / (2.0 * E**3 * c1 * c2)

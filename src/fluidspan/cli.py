@@ -36,6 +36,7 @@ from .errors import (
     HypothesisError,
     InstabilityError,
     NestedLogDomainError,
+    ParameterError,
     VacuumError,
 )
 from .harness import parse_config_file, run_to_directory, sweep
@@ -147,10 +148,13 @@ def _cmd_bounds(args):
     report = {"model": args.model, "C": c}
     lines = []
     if args.model == "generic":
-        spec = ClosureSpec(kappa=tuple(_number("--kappa", x) for x in args.kappa.split(",")),
-                           zeta=tuple(_number("--zeta", x) for x in args.zeta.split(",")),
-                           c1=_number("--c1", args.c1), c2=_number("--c2", args.c2),
-                           c3=_number("--c3", args.c3))
+        try:
+            spec = ClosureSpec(kappa=tuple(_number("--kappa", x) for x in args.kappa.split(",")),
+                               zeta=tuple(_number("--zeta", x) for x in args.zeta.split(",")),
+                               c1=_number("--c1", args.c1), c2=_number("--c2", args.c2),
+                               c3=_number("--c3", args.c3))
+        except ParameterError as exc:  # an input out of the closure's domain
+            raise ConfigError(str(exc)) from None
         bound = closure_lifespan(spec)
         report.update(C0=bound.c0, log10_delta0=bound.log10_delta0)
         lines.append(f"C0 = {bound.c0:.12g}")

@@ -9,9 +9,14 @@ time integrator in :mod:`fluidspan.models` works on these kernels directly.
 :class:`ScalarField` carries physical samples on a uniform nx x ny grid
 together with an on-demand rfft2 mirror; the field-level toolbox
 (derivatives, inverse Laplacian, Biot-Savart, Poisson bracket, dealiasing)
-wraps the kernels.  Fields are immutable after construction:
-every operation returns a new field, so they are safe to share across
-threads.
+wraps the kernels.  Fields are immutable after construction: every
+operation returns a new field.
+
+Kernels write their result into ``out`` when given one and keep their
+temporaries in the grid's :class:`Scratch`, where callers keep the planes
+they use only briefly too, so a time step allocates nothing beyond the
+arrays that outlive it.  Kernels on one :class:`Grid` share its scratch,
+so a Grid, and every field and state on it, is confined to one thread.
 """
 
 from __future__ import annotations
@@ -29,6 +34,51 @@ DEALIAS_FRACTION = 2.0 / 3.0
 MEAN_TOL = 1e-10
 
 
+class Scratch:
+    """Reused planes of one grid, lent out in nested frames.
+
+    ``with grid.scratch as s:`` opens a frame; inside it ``s.plane()``,
+    ``s.coeffs()`` and ``s.multiplier()`` lend the next free real plane
+    (nx, ny), rfft2 coefficient plane (nx, ny // 2 + 1) or real multiplier
+    (nx, ny // 2 + 1), each made on first use, and leaving the frame takes
+    back everything lent in it.  So the scratch grows to what the deepest
+    nesting of frames needs and no further, and a later frame at the same
+    depth reuses the same planes: nothing lent may be read after its frame
+    closes.  Confined to one thread, like its grid.
+    """
+
+    def __init__(self, grid):
+        half = (grid.nx, grid.ny // 2 + 1)
+        self._kinds = (((grid.nx, grid.ny), np.float64), (half, np.complex128),
+                       (half, np.float64))
+        self._planes = ([], [], [])
+        self._used = [0, 0, 0]
+        self._frames = []
+
+    def __enter__(self):
+        self._frames.append(tuple(self._used))
+        return self
+
+    def __exit__(self, *exc):
+        self._used = list(self._frames.pop())
+
+    def _lend(self, kind):
+        planes, i = self._planes[kind], self._used[kind]
+        if i == len(planes):
+            planes.append(np.empty(*self._kinds[kind]))
+        self._used[kind] = i + 1
+        return planes[i]
+
+    def plane(self):
+        return self._lend(0)
+
+    def coeffs(self):
+        return self._lend(1)
+
+    def multiplier(self):
+        return self._lend(2)
+
+
 class Grid:
     """Uniform periodic grid on the 2pi x 2pi torus.
 
@@ -36,6 +86,9 @@ class Grid:
     ----------
     nx, ny : int
         Grid points per axis; must be even and >= 8.
+
+    ``scratch`` holds the reused planes of the kernels that run on the
+    grid (:class:`Scratch`); it is why a Grid is confined to one thread.
     """
 
     def __init__(self, nx, ny=None):
@@ -74,6 +127,7 @@ class Grid:
         cut_x = DEALIAS_FRACTION * (self.nx / 2)
         cut_y = DEALIAS_FRACTION * (self.ny / 2)
         self.dealias_keep = (np.abs(self.KX) <= cut_x) & (np.abs(self.KY) <= cut_y)
+        self.scratch = Scratch(self)
 
     def __eq__(self, other):
         return isinstance(other, Grid) and self.nx == other.nx and self.ny == other.ny
@@ -162,7 +216,10 @@ class VectorField:
         self.v = v
 
     def max_abs(self):
-        return float(np.sqrt(np.max(self.u.values**2 + self.v.values**2)))
+        with self.grid.scratch as s:
+            speed2 = np.square(self.u.values, out=s.plane())
+            speed2 += np.square(self.v.values, out=s.plane())
+            return float(np.sqrt(np.max(speed2)))
 
 
 def _coerce(field, other):
@@ -188,45 +245,75 @@ def same_grid(*fields):
 _I_POWERS = (1.0, 1j, -1.0, -1j)
 
 
-def to_physical(grid, hat):
-    return np.fft.irfft2(hat, s=(grid.nx, grid.ny))
+def to_physical(grid, hat, out=None):
+    """Samples of the field with rfft2 coefficients ``hat``, into ``out`` or
+    a new plane: the two passes of np.fft.irfft2, ifft on axis 0 into the
+    grid's scratch and irfft on axis 1, with the same bits.
+
+    The axis-1 pass is irfftn restricted to that axis (irfft2 drops its
+    ``out``), so a count of calls to the 2D and nD transforms sees each
+    inverse transform once.
+    """
+    with grid.scratch as s:
+        work = np.fft.ifft(hat, axis=0, out=s.coeffs())
+        return np.fft.irfftn(work, s=(grid.ny,), axes=(1,), out=out)
 
 
-def dealias_hat(grid, hat):
+def dealias_hat(grid, hat, out=None):
     """Zero every mode beyond the grid's dealias cutoff."""
-    return hat * grid.dealias_keep
+    return np.multiply(hat, grid.dealias_keep, out=out)
 
 
-def product_hat(grid, values):
+def product_hat(grid, values, out=None):
     """Dealiased coefficients of a quadratic term sampled on the grid: one
-    forward transform, masked."""
-    return dealias_hat(grid, np.fft.rfft2(values))
+    forward transform, masked in place."""
+    hat = np.fft.rfft2(values, out=out)
+    return dealias_hat(grid, hat, hat)
 
 
-def derivative_hat(grid, hat, a, b):
+def derivative_hat(grid, hat, a, b, out=None):
     """Coefficients of d_x^a d_y^b f: hat times i^(a+b) kx^a ky^b.
 
     Odd orders use the wavenumbers with the Nyquist mode zeroed.  A pure x
-    or y derivative multiplies by a column or a row, not a full plane.
+    or y derivative multiplies by a column or a row, not a full plane, and
+    may write over ``hat`` itself; a mixed one forms its multiplier in the
+    grid's scratch and ``out``.
     """
     kx = grid.KXd if a % 2 else grid.KX
     ky = grid.KYd if b % 2 else grid.KY
     if b == 0:
-        return (_I_POWERS[a % 4] * kx**a) * hat
+        return np.multiply(_I_POWERS[a % 4] * kx**a, hat, out=out)
     if a == 0:
-        return (_I_POWERS[b % 4] * ky**b) * hat
-    return _I_POWERS[(a + b) % 4] * (kx**a * ky**b) * hat
+        return np.multiply(_I_POWERS[b % 4] * ky**b, hat, out=out)
+    with grid.scratch as s:
+        m = np.multiply(kx**a, ky**b, out=s.multiplier())
+        # i^(a+b) kx^a ky^b is real for even orders and complex for odd ones
+        m = np.multiply(_I_POWERS[(a + b) % 4], m, out=out if (a + b) % 2 else m)
+        return np.multiply(m, hat, out=out)
 
 
-def inverse_laplacian_hat(grid, hat):
+def derivative_values(grid, hat, a, b, out=None):
+    """d_x^a d_y^b f on the grid, into ``out`` or a new plane: the
+    coefficients are formed in the grid's scratch, then one inverse
+    transform."""
+    with grid.scratch as s:
+        return to_physical(grid, derivative_hat(grid, hat, a, b, s.coeffs()), out)
+
+
+def inverse_laplacian_hat(grid, hat, out=None):
     """Coefficients of the mean-zero g with Laplace(g) = f - mean(f)."""
-    return grid.neg_inv_k2 * hat
+    return np.multiply(grid.neg_inv_k2, hat, out=out)
 
 
-def velocity_hat(grid, omega_hat):
-    """Coefficients of u = grad^perp Laplace^{-1} omega, as (u1, u2)."""
-    psi = inverse_laplacian_hat(grid, omega_hat)
-    return -derivative_hat(grid, psi, 0, 1), derivative_hat(grid, psi, 1, 0)
+def velocity_hat(grid, omega_hat, out=(None, None)):
+    """Coefficients of u = grad^perp Laplace^{-1} omega, as (u1, u2), into
+    the pair ``out`` or new arrays.  An omega whose mean exceeds MEAN_TOL
+    times its rms raises SolvabilityError (see :func:`invert_laplacian`)."""
+    _require_mean_zero(grid, omega_hat, MEAN_TOL)
+    with grid.scratch as s:
+        psi = inverse_laplacian_hat(grid, omega_hat, s.coeffs())
+        u1 = derivative_hat(grid, psi, 0, 1, out[0])
+        return np.negative(u1, out=u1), derivative_hat(grid, psi, 1, 0, out[1])
 
 
 def gradient_hat(grid, hat):
@@ -234,15 +321,18 @@ def gradient_hat(grid, hat):
     return derivative_hat(grid, hat, 1, 0), derivative_hat(grid, hat, 0, 1)
 
 
-def gradient_values(grid, hat):
-    """(d_x f, d_y f) on the grid: two inverse transforms."""
-    return tuple(to_physical(grid, h) for h in gradient_hat(grid, hat))
+def gradient_values(grid, hat, out=(None, None)):
+    """(d_x f, d_y f) on the grid, into the pair ``out`` or new planes: two
+    inverse transforms."""
+    return tuple(derivative_values(grid, hat, a, 1 - a, o) for a, o in zip((1, 0), out))
 
 
-def derivative_planes(grid, hat, j):
+def derivative_planes(grid, hat, j, out=None):
     """The order-j derivatives d^alpha f on the grid, alpha = (j, 0), (j-1, 1),
-    ..., (0, j): one inverse transform each."""
-    return [to_physical(grid, derivative_hat(grid, hat, a, j - a)) for a in range(j, -1, -1)]
+    ..., (0, j), into the first j + 1 planes of ``out`` or new planes: one
+    inverse transform each."""
+    out = [None] * (j + 1) if out is None else out
+    return [derivative_values(grid, hat, a, j - a, o) for a, o in zip(range(j, -1, -1), out)]
 
 
 def bracket_hat(grid, f_hat, g_hat):
@@ -334,7 +424,6 @@ def biot_savart(omega):
 def biot_savart_coeffs(grid, omega_hat):
     """:func:`biot_savart` from omega's rfft2 coefficients: two inverse
     transforms, none for omega itself."""
-    _require_mean_zero(grid, omega_hat, MEAN_TOL)
     u1, u2 = velocity_hat(grid, omega_hat)
     return VectorField(ScalarField.from_hat(grid, u1), ScalarField.from_hat(grid, u2))
 
@@ -383,12 +472,16 @@ def derivative_orders(fields, k, reduce):
     (ScalarFields on one grid).  Order 0 is the fields' own samples; every
     other plane is one inverse transform of :func:`derivative_hat`.  Each
     order is reduced before the next is built, so only one order's planes
-    are held at a time.
+    are held at a time, in the grid's scratch: ``reduce`` must not return
+    them.
     """
     grid = same_grid(*fields)
     out = [reduce([tuple(f.values for f in fields)])]
     for j in range(1, k + 1):
-        out.append(reduce(list(zip(*(derivative_planes(grid, f.hat, j) for f in fields)))))
+        with grid.scratch as s:
+            planes = [derivative_planes(grid, f.hat, j, [s.plane() for _ in range(j + 1)])
+                      for f in fields]
+            out.append(reduce(list(zip(*planes))))
     return out
 
 

@@ -44,6 +44,7 @@ from .fields import (
     VectorField,
     biot_savart_coeffs,
     derivative_hat,
+    derivative_values,
     gradient_values,
     inverse_laplacian_hat,
     invert_laplacian,
@@ -160,29 +161,34 @@ class FluidState:
         return self._cached("vorticity",
                             lambda: ScalarField.from_hat(self.grid, self.vorticity_hat()))
 
-    def current_hat(self):
-        """Coefficients of the current J = Lap(rho) of the MHD models; None
-        for the others."""
+    def current_hat(self, out=None):
+        """Coefficients of the current J = Lap(rho) of the MHD models, into
+        ``out`` or a new array; None for the others."""
         if self.kind is ModelKind.MHD_ELSASSER:
             xi, eta = self.coeffs
-            return 0.5 * (xi - eta)
+            j = np.subtract(xi, eta, out=out)
+            return np.multiply(0.5, j, out=j)
         if self.kind is ModelKind.MHD_VORTICITY_CURRENT:
-            return -self.grid.K2 * self.coeffs[1]
+            with self.grid.scratch as s:
+                neg_k2 = np.negative(self.grid.K2, out=s.multiplier())
+                return np.multiply(neg_k2, self.coeffs[1], out=out)
         return None
 
-    def _density_hat(self):
+    def _density_hat(self, out):
+        """rho's coefficients: the carried ones, or for Elsasser the inverse
+        Laplacian of J, with the mean mode set from mass_mean, into out."""
         if self.kind is not ModelKind.MHD_ELSASSER:
             return self.coeffs[1]
         g = self.grid
-        hat = inverse_laplacian_hat(g, self.current_hat())
+        hat = inverse_laplacian_hat(g, self.current_hat(out), out)
         hat[0, 0] = self.mass_mean * g.nx * g.ny
         return hat
 
     def density(self):
         if self.kind is not ModelKind.MHD_ELSASSER:
             return self.rho
-        return self._cached("density",
-                            lambda: ScalarField.from_hat(self.grid, self._density_hat()))
+        return self._cached("density", lambda: ScalarField.from_hat(
+            self.grid, self._density_hat(np.empty_like(self.coeffs[0]))))
 
     def magnetic_field(self):
         """B = grad^perp rho of the MHD models, built from the coefficients
@@ -192,9 +198,11 @@ class FluidState:
 
         def build():
             g = self.grid
-            rho = self._density_hat()
-            return VectorField(ScalarField.from_hat(g, -derivative_hat(g, rho, 0, 1)),
-                               ScalarField.from_hat(g, derivative_hat(g, rho, 1, 0)))
+            with g.scratch as s:
+                rho = self._density_hat(s.coeffs())
+                b1, b2 = derivative_hat(g, rho, 0, 1), derivative_hat(g, rho, 1, 0)
+            return VectorField(ScalarField.from_hat(g, np.negative(b1, out=b1)),
+                               ScalarField.from_hat(g, b2))
         return self._cached("magnetic_field", build)
 
     def velocity(self):
@@ -214,22 +222,28 @@ class FluidState:
         return biot_savart_coeffs(self.grid, self.vorticity_hat())
 
 
-def _coupling(grid, omega_hat, current_hat):
+def _coupling(grid, omega_hat, current_hat, out=None):
     """The MHD coupling Q(omega, J) = -2 sum_{jk} d_j u_k d_j d_k phi on the
-    grid, u = K omega = grad^perp psi, psi = Lap^{-1} omega, phi = Lap^{-1} J:
-    the commutator of the Laplacian with transport, which makes the
-    (omega, J) system identical to the (omega, rho) one.
+    grid, into ``out`` or a new plane, u = K omega = grad^perp psi,
+    psi = Lap^{-1} omega, phi = Lap^{-1} J: the commutator of the Laplacian
+    with transport, which makes the (omega, J) system identical to the
+    (omega, rho) one.
 
     Written out, Q = 2 (psi_xy (phi_xx - phi_yy) - phi_xy (psi_xx - psi_yy)),
     so it takes four inverse transforms: f_xy and f_xx - f_yy, whose
     multiplier is ky^2 - kx^2, for f = psi and phi.
     """
-    psi = inverse_laplacian_hat(grid, omega_hat)
-    phi = inverse_laplacian_hat(grid, current_hat)
-    saddle = grid.KY**2 - grid.KX**2
-    psi_xy, phi_xy = (to_physical(grid, derivative_hat(grid, h, 1, 1)) for h in (psi, phi))
-    psi_d, phi_d = (to_physical(grid, saddle * h) for h in (psi, phi))
-    return 2.0 * (psi_xy * phi_d - phi_xy * psi_d)
+    with grid.scratch as s:
+        saddle = np.subtract(grid.KY**2, grid.KX**2, out=s.multiplier())
+        planes = []
+        for hat in (omega_hat, current_hat):
+            f = inverse_laplacian_hat(grid, hat, s.coeffs())
+            planes.append(derivative_values(grid, f, 1, 1, s.plane()))
+            planes.append(to_physical(grid, np.multiply(saddle, f, out=f), s.plane()))
+        psi_xy, psi_d, phi_xy, phi_d = planes
+        q = np.subtract(np.multiply(psi_xy, phi_d, out=psi_xy),
+                        np.multiply(phi_xy, psi_d, out=phi_xy), out=out)
+        return np.multiply(2.0, q, out=q)
 
 
 def elsasser_transform(omega, current):
@@ -243,50 +257,89 @@ def elsasser_inverse(xi, eta):
     return 0.5 * (xi + eta), 0.5 * (xi - eta)
 
 
-def _tendency(state):
-    """rfft2 coefficients of the model tendency, ordered like state.coeffs.
+def _dot(a1, a2, f1, f2):
+    """a1 f1 + a2 f2, formed over the planes f1 and f2 and returned in f1."""
+    np.multiply(a1, f1, out=f1)
+    np.multiply(a2, f2, out=f2)
+    return np.add(f1, f2, out=f1)
+
+
+def _minus_transport(acc, c1, c2, f_x, f_y):
+    """acc - c1 f_x - c2 f_y, formed over acc (f_x and f_y are overwritten)."""
+    acc -= np.multiply(c1, f_x, out=f_x)
+    acc -= np.multiply(c2, f_y, out=f_y)
+    return acc
+
+
+def _tendency(state, out=None):
+    """rfft2 coefficients of the model tendency, ordered like state.coeffs,
+    into the arrays ``out`` or new ones.
 
     Each field's quadratic terms are summed on the grid and dealiased
     together by one masked forward transform (fields.product_hat), so a
     stage costs one forward transform per field.  Every physical plane is
     built once: the velocity and B come from the state's cache, and the MHD
-    form reads grad rho as (B2, -B1).
+    form reads grad rho as (B2, -B1).  The planes of the terms live in the
+    grid's scratch and are combined in place, in the order in which each
+    term is written out below, so the bits are those of the plain
+    expressions.
     """
     g = state.grid
     kind = state.kind
+    if out is None:
+        out = [np.empty_like(c) for c in state.coeffs]
     u = state.velocity()
     u1, u2 = u.u.values, u.v.values
     if kind in MHD_KINDS:
         b = state.magnetic_field()
         b1, b2 = b.u.values, b.v.values
 
-    if kind is ModelKind.MHD_ELSASSER:
-        xi, eta = state.coeffs
-        (xi_x, xi_y), (eta_x, eta_y) = gradient_values(g, xi), gradient_values(g, eta)
-        q = _coupling(g, state.vorticity_hat(), state.current_hat())
-        return (product_hat(g, q - (u1 - b1) * xi_x - (u2 - b2) * xi_y),
-                product_hat(g, -q - (u1 + b1) * eta_x - (u2 + b2) * eta_y))
+    with g.scratch as s:
+        if kind is ModelKind.MHD_ELSASSER:
+            # xi: q - (u1 - b1) xi_x - (u2 - b2) xi_y; eta: -q - (u1 + b1) eta_x
+            # - (u2 + b2) eta_y.  eta goes first, so that xi can overwrite q.
+            xi, eta = state.coeffs
+            q = _coupling(g, state.vorticity_hat(), state.current_hat(s.coeffs()), s.plane())
+            c1, c2, grad = s.plane(), s.plane(), (s.plane(), s.plane())
+            acc = _minus_transport(np.negative(q, out=s.plane()), np.add(u1, b1, out=c1),
+                                   np.add(u2, b2, out=c2), *gradient_values(g, eta, grad))
+            product_hat(g, acc, out[1])
+            _minus_transport(q, np.subtract(u1, b1, out=c1), np.subtract(u2, b2, out=c2),
+                             *gradient_values(g, xi, grad))
+            return product_hat(g, q, out[0]), out[1]
 
-    omega = state.coeffs[0]
-    omega_x, omega_y = gradient_values(g, omega)
-    transport = u1 * omega_x + u2 * omega_y  # u . grad omega
-    if kind is ModelKind.EULER:
-        return (-product_hat(g, transport),)
-    rho = state.coeffs[1]
-    if kind is ModelKind.BOUSSINESQ:
-        # {dE/drho, rho} with dE/drho = -x2 reduces to the periodic d_x rho.
-        domega = -product_hat(g, transport) + derivative_hat(g, rho, 1, 0)
-        rho_x, rho_y = gradient_values(g, rho)
-    elif kind is ModelKind.MHD_VORTICITY_CURRENT:
-        # dE/drho = -J: {-J, rho} = {rho, J} = B . grad J, and grad rho = (B2, -B1)
-        j_x, j_y = gradient_values(g, state.current_hat())
-        domega = product_hat(g, b1 * j_x + b2 * j_y - transport)
-        return domega, -product_hat(g, u1 * b2 - u2 * b1)
-    else:  # IIE: dE/drho = |u|^2 / 2
-        e_x, e_y = gradient_values(g, product_hat(g, 0.5 * (u1**2 + u2**2)))
-        rho_x, rho_y = gradient_values(g, rho)
-        domega = product_hat(g, e_x * rho_y - e_y * rho_x - transport)
-    return domega, -product_hat(g, u1 * rho_x + u2 * rho_y)
+        omega = state.coeffs[0]
+        # u . grad omega
+        transport = _dot(u1, u2, *gradient_values(g, omega, (s.plane(), s.plane())))
+        if kind is ModelKind.EULER:
+            return (np.negative(product_hat(g, transport, out[0]), out=out[0]),)
+        rho = state.coeffs[1]
+        if kind is ModelKind.BOUSSINESQ:
+            # {dE/drho, rho} with dE/drho = -x2 reduces to the periodic d_x rho.
+            domega = np.negative(product_hat(g, transport, out[0]), out=out[0])
+            domega += derivative_hat(g, rho, 1, 0, s.coeffs())
+            rho_x, rho_y = gradient_values(g, rho, (s.plane(), s.plane()))
+        elif kind is ModelKind.MHD_VORTICITY_CURRENT:
+            # dE/drho = -J: {-J, rho} = {rho, J} = B . grad J, and grad rho = (B2, -B1)
+            j_x, j_y = gradient_values(g, state.current_hat(s.coeffs()), (s.plane(), s.plane()))
+            force = _dot(b1, b2, j_x, j_y)  # b1 j_x + b2 j_y - transport
+            domega = product_hat(g, np.subtract(force, transport, out=force), out[0])
+            cross = np.multiply(u1, b2, out=s.plane())  # u1 b2 - u2 b1
+            cross -= np.multiply(u2, b1, out=transport)
+            return domega, np.negative(product_hat(g, cross, out[1]), out=out[1])
+        else:  # IIE: dE/drho = |u|^2 / 2
+            energy = np.square(u1, out=s.plane())
+            energy += np.square(u2, out=s.plane())
+            energy *= 0.5
+            e_x, e_y = gradient_values(g, product_hat(g, energy, s.coeffs()),
+                                       (s.plane(), s.plane()))
+            rho_x, rho_y = gradient_values(g, rho, (s.plane(), s.plane()))
+            force = np.multiply(e_x, rho_y, out=e_x)  # e_x rho_y - e_y rho_x - transport
+            force -= np.multiply(e_y, rho_x, out=e_y)
+            force -= transport
+            domega = product_hat(g, force, out[0])
+        drho = product_hat(g, _dot(u1, u2, rho_x, rho_y), out[1])  # -(u . grad rho)
+        return domega, np.negative(drho, out=drho)
 
 
 def cfl_limit(state, cfl_number=0.5):
@@ -306,30 +359,48 @@ def cfl_limit(state, cfl_number=0.5):
 
 def step_detailed(state, dt, check_cfl=True):
     """One classical RK4 step; returns (new_state, the four stage velocities
-    in stage order)."""
+    in stage order).
+
+    The stage tendencies and their weighted sum k1 + 2 k2 + 2 k3 + k4 live
+    in the grid's scratch and are summed in place, in the order of that
+    sum.  Each state the step hands on, the three stage states and the new
+    one, gets one new coefficient array per field.
+    """
     if check_cfl and dt > cfl_limit(state) * (1.0 + 1e-9):
         raise ParameterError(f"dt = {dt:.3e} exceeds the CFL limit {cfl_limit(state):.3e}")
     t, y = state.t, state.coeffs
+    names = FIELD_NAMES[state.kind]
     stages = []
 
-    def stage(s, idx):
-        k = _tendency(s)
-        for name, d in zip(FIELD_NAMES[s.kind], k):
+    def stage(st, idx, k):
+        _tendency(st, k)
+        for name, d in zip(names, k):
             if not np.all(np.isfinite(d)):
                 raise InstabilityError(
-                    f"RK4 stage {idx}: non-finite tendency in d{name} at t = {s.t}")
-        stages.append(s.velocity())
-        return k
+                    f"RK4 stage {idx}: non-finite tendency in d{name} at t = {st.t}")
+        stages.append(st.velocity())
 
     def shifted(c, k):
-        return [yi + c * ki for yi, ki in zip(y, k)]
+        """y + c k, as new arrays."""
+        new = [np.multiply(c, ki) for ki in k]
+        return [np.add(yi, ni, out=ni) for yi, ni in zip(y, new)]
 
-    k1 = stage(state, 1)
-    k2 = stage(state.advanced(t + 0.5 * dt, shifted(0.5 * dt, k1)), 2)
-    k3 = stage(state.advanced(t + 0.5 * dt, shifted(0.5 * dt, k2)), 3)
-    k4 = stage(state.advanced(t + dt, shifted(dt, k3)), 4)
-    new = [yi + (dt / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-           for yi, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4)]
+    def add_twice(total, k):
+        for a, d in zip(total, k):
+            a += np.multiply(2.0, d, out=d)
+
+    with state.grid.scratch as s:
+        total, k = [s.coeffs() for _ in y], [s.coeffs() for _ in y]
+        stage(state, 1, total)  # total = k1
+        stage(state.advanced(t + 0.5 * dt, shifted(0.5 * dt, total)), 2, k)
+        for idx, h in ((3, 0.5 * dt), (4, dt)):
+            # the next stage reads k before k joins the sum: total = k1 + 2 k2 (+ 2 k3)
+            coeffs = shifted(h, k)
+            add_twice(total, k)
+            stage(state.advanced(t + h, coeffs), idx, k)
+        for a, d in zip(total, k):
+            a += d
+        new = shifted(dt / 6.0, total)
     if not all(np.all(np.isfinite(c)) for c in new):
         raise InstabilityError(f"non-finite state after RK4 step at t = {t}")
     return state.advanced(t + dt, new), stages

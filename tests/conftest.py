@@ -3,32 +3,25 @@ import pytest
 import scipy.fft
 
 
-class FFTCounts(dict):
-    """Calls of rfft2 and irfft2 by name; ``inputs`` keeps each call's input
-    array, in call order."""
-
-    def __init__(self):
-        super().__init__(rfft2=0, irfft2=0)
-        self.inputs = {name: [] for name in self}
-
-
 @pytest.fixture
 def fft_counts(monkeypatch):
-    """Counts of rfft2 and irfft2 calls from here on, from numpy.fft and
-    scipy.fft alike, so that moving a transform between them never reads as
-    a saving."""
-    counts = FFTCounts()
+    """Counts of forward and inverse real 2D transforms from here on, by the
+    names rfft2 and irfft2: calls of rfft2 or rfftn and of irfft2 or irfftn,
+    from numpy.fft and scipy.fft alike, so that moving a transform between
+    these entry points never reads as a saving.  fields.to_physical makes
+    the last pass of each inverse transform with irfftn."""
+    counts = {"rfft2": 0, "irfft2": 0}
 
-    def counting(module, name):
+    def counting(module, name, key):
         fn = getattr(module, name)
 
-        def wrapped(a, *args, **kwargs):
-            counts[name] += 1
-            counts.inputs[name].append(a)
-            return fn(a, *args, **kwargs)
+        def wrapped(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
         return wrapped
 
     for module in (np.fft, scipy.fft):
-        for name in list(counts):
-            monkeypatch.setattr(module, name, counting(module, name))
+        for key in list(counts):
+            for name in (key, key[:-1] + "n"):
+                monkeypatch.setattr(module, name, counting(module, name, key))
     return counts

@@ -44,8 +44,16 @@ def test_bounds_iie_continuation(capsys):
     ["--model", "iie-continuation", "--c", "1", "--delta", "0"],
     ["--model", "iie", "--c", "inf"],
     ["--model", "generic", "--kappa", "abc"],
+    ["--model", "iie", "--c", "1e308"],
+    ["--model", "mhd", "--c", "1e200"],
+    ["--model", "boussinesq", "--c", "1e308", "--delta", "1e-300"],
+    ["--model", "iie-continuation", "--c", "1e308"],
+    ["--model", "generic", "--c1", "0"],
+    ["--model", "generic", "--kappa", "0"],
+    ["--model", "generic", "--c2", "1000"],
 ], ids=["delta-0", "delta-negative", "log10-delta-nan", "continuation-delta-0",
-        "c-inf", "kappa-abc"])
+        "c-inf", "kappa-abc", "iie-c-1e308", "mhd-c-1e200", "boussinesq-c-1e308",
+        "continuation-c-1e308", "generic-c1-0", "generic-kappa-0", "generic-c2-1000"])
 def test_bounds_bad_number_exit_2(tmp_path, capsys, argv):
     # a number that is not one, not finite or outside its domain is a config
     # error: one line, no traceback, nothing written

@@ -11,6 +11,8 @@ from fluidspan.fields import (
     biot_savart,
     curl,
     dealias,
+    derivative_hat,
+    derivative_values,
     divergence,
     grad_u_inf_norm,
     half_plane_dot,
@@ -21,9 +23,11 @@ from fluidspan.fields import (
     lp_terms,
     operator_norm_2x2,
     poisson_bracket,
+    product_hat,
     sobolev_norm,
     spectral_derivative,
     tail_enstrophy_fraction,
+    to_physical,
 )
 
 
@@ -382,3 +386,53 @@ def test_vector_field_shares_grid(grid):
 
     with pytest.raises(GridMismatchError):
         VectorField(a, b)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_kernels_into_out_keep_the_bits(n):
+    # The kernels that write into an array, or through the grid's scratch,
+    # give bit for bit what the plain numpy expressions give, on random
+    # coefficients and samples: the inverse transform's two 1-D passes,
+    # the masked forward transform, and every derivative plane to order 3
+    # (the mixed ones form their multiplier in the scratch).
+    rng = np.random.default_rng(n)
+    grid = Grid(n)
+    half = (n, n // 2 + 1)
+    hat = rng.standard_normal(half) + 1j * rng.standard_normal(half)
+    values = rng.standard_normal((n, n))
+    out, coeffs = np.empty((n, n)), np.empty(half, complex)
+    assert to_physical(grid, hat, out) is out
+    assert _same_bits(out, np.fft.irfft2(hat, s=(n, n)))
+    assert product_hat(grid, values, coeffs) is coeffs
+    assert _same_bits(coeffs, np.fft.rfft2(values) * grid.dealias_keep)
+    i_powers = (1.0, 1j, -1.0, -1j)
+    for a, b in [(a, j - a) for j in range(1, 4) for a in range(j + 1)]:
+        kx = grid.KXd if a % 2 else grid.KX
+        ky = grid.KYd if b % 2 else grid.KY
+        plain = i_powers[(a + b) % 4] * (kx**a * ky**b) * hat
+        assert _same_bits(derivative_hat(grid, hat, a, b), plain), (a, b)
+        assert derivative_values(grid, hat, a, b, out) is out
+        assert _same_bits(out, to_physical(grid, derivative_hat(grid, hat, a, b))), (a, b)
+        assert _same_bits(out, np.fft.irfft2(plain, s=(n, n))), (a, b)
+
+
+def test_scratch_frames_reuse_planes():
+    # A frame lends fresh planes above the ones its enclosing frames hold,
+    # and a later frame at the same depth gets the same planes back.
+    scratch = Grid(16).scratch
+    with scratch as s:
+        outer = s.plane()
+        with scratch as t:
+            first = (t.plane(), t.coeffs(), t.multiplier())
+        with scratch as t:
+            again = (t.plane(), t.coeffs(), t.multiplier())
+    assert all(x is y for x, y in zip(first, again))
+    assert first[0] is not outer
+    assert [x.shape for x in first] == [(16, 16), (16, 9), (16, 9)]
+    assert [x.dtype for x in first] == [np.float64, np.complex128, np.float64]
+    with scratch as s:
+        assert s.plane() is outer
