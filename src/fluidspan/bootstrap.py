@@ -22,21 +22,11 @@ from .models import MHD_KINDS, ModelKind
 E = math.e
 LOG10 = math.log(10.0)
 LOG_MAX = math.log(sys.float_info.max)
-# Largest C the closed forms take: far above any fitted constant, and far
-# below where they leave double range (the MHD constants square C, which
-# overflows near 1e154).
-C_MAX = 1e100
 
 
 # ---------------------------------------------------------------------------
 # growth constants and closures
 # ---------------------------------------------------------------------------
-
-def _check_c(c):
-    """A C above C_MAX is a bad input, not a theorem's hypothesis failing."""
-    if not c <= C_MAX:
-        raise ConfigError(f"C = {c:.6g} is out of range: the closed forms take C <= {C_MAX:g}")
-
 
 @dataclass(frozen=True)
 class GrowthConstants:
@@ -54,7 +44,6 @@ def growth_constants(c):
     """Lambda_1..Lambda_4 = (1 + log(1 + C), C, 2C, 5C); requires C > e."""
     if not c > E:
         raise HypothesisError(f"growth constants need C > e, got C = {c}")
-    _check_c(c)
     return GrowthConstants(c=c, lambda1=1.0 + math.log1p(c), lambda2=c,
                            lambda3=2.0 * c, lambda4=5.0 * c)
 
@@ -173,7 +162,6 @@ def iie_closure_spec(c):
     """
     if c < 1.0:
         raise HypothesisError(f"the IIE theorem uses a constant C >= 1, got {c}")
-    _check_c(c)
     lam = growth_constants(9.0 * E**2 * c)
     return ClosureSpec(kappa=(0.5, 0.5, 1.0), zeta=(1.0, 1.0, lam.lambda4),
                        c1=max(lam.lambda2, lam.lambda3), c2=1.0, c3=lam.lambda1)
@@ -215,7 +203,8 @@ def iie_continuation_budget(c):
     """
     if c < 1.0:
         raise HypothesisError(f"the continuation theorem uses C >= 1, got {c}")
-    _check_c(c)
+    if not math.isfinite(100.0 * c):
+        raise ConfigError(f"C = {c:.6g} is out of range: 100 C overflows")
     log_bound = math.fsum((math.log(3.0 / (100.0 * c)), -12.0 * c * E))
     return ContinuationBudget(c=c, log_delta0_bound=log_bound)
 
@@ -250,12 +239,13 @@ def mhd_constants(c):
     """
     if c < 1.0:
         raise HypothesisError(f"the MHD theorem uses C >= 1, got {c}")
-    _check_c(c)
     c1 = 6.0 * c * c
     c2 = E**2 / 6.0
     c3 = E / (2.0 * E**3 * c1 * c2)
     c4 = 1.0 / (4.0 * c * c * E**2)
-    c4p = 99.0 / (100.0 * c4)
+    c4p = 99.0 / (100.0 * c4) if c4 > 0.0 else math.inf
+    if not math.isfinite(c4p):  # the largest constant, ~29 C^2
+        raise ConfigError(f"C = {c:.6g} is out of range: C4' = 99 e^2 C^2 / 25 overflows")
     big = c2 * math.exp(4.0 * E**2)
     log_delta0 = math.fsum((math.log(c4p), -big))
     alpha0 = big
@@ -621,7 +611,8 @@ def theory_window(model, c_fit, delta):
     """T_delta from the model's triple-log bound at a calibrated constant.
 
     Returns None when delta lies outside the nested-log domain (the bound
-    is vacuous there, which is the common case at laboratory deltas).
+    is vacuous there, which is the common case at laboratory deltas), and
+    when c_fit takes the closed-form constants out of double range.
     """
     model = ModelKind.parse(model) if isinstance(model, str) else model
     if delta <= 0.0:
@@ -636,6 +627,6 @@ def theory_window(model, c_fit, delta):
         else:
             return None
         t_theory = bound.time_of_delta(delta)
-    except NestedLogDomainError:
+    except (NestedLogDomainError, ConfigError):
         return None
     return t_theory if t_theory > 0 else None

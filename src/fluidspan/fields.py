@@ -247,16 +247,9 @@ _I_POWERS = (1.0, 1j, -1.0, -1j)
 
 def to_physical(grid, hat, out=None):
     """Samples of the field with rfft2 coefficients ``hat``, into ``out`` or
-    a new plane: the two passes of np.fft.irfft2, ifft on axis 0 into the
-    grid's scratch and irfft on axis 1, with the same bits.
-
-    The axis-1 pass is irfftn restricted to that axis (irfft2 drops its
-    ``out``), so a count of calls to the 2D and nD transforms sees each
-    inverse transform once.
-    """
-    with grid.scratch as s:
-        work = np.fft.ifft(hat, axis=0, out=s.coeffs())
-        return np.fft.irfftn(work, s=(grid.ny,), axes=(1,), out=out)
+    a new plane.  irfftn, not irfft2, because irfft2 drops its ``out``; the
+    two make the same passes, with the same bits."""
+    return np.fft.irfftn(hat, s=(grid.nx, grid.ny), axes=(-2, -1), out=out)
 
 
 def dealias_hat(grid, hat, out=None):

@@ -396,9 +396,9 @@ def _same_bits(a, b):
 def test_kernels_into_out_keep_the_bits(n):
     # The kernels that write into an array, or through the grid's scratch,
     # give bit for bit what the plain numpy expressions give, on random
-    # coefficients and samples: the inverse transform's two 1-D passes,
-    # the masked forward transform, and every derivative plane to order 3
-    # (the mixed ones form their multiplier in the scratch).
+    # coefficients and samples: the inverse transform into ``out``, the
+    # masked forward transform, and every derivative plane to order 3 (the
+    # mixed ones form their multiplier in the scratch).
     rng = np.random.default_rng(n)
     grid = Grid(n)
     half = (n, n // 2 + 1)

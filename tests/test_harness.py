@@ -233,6 +233,18 @@ def test_sweep_zero_delta_unconditional(tmp_path):
     assert text[1].split(",")[1] == "unconditional"
 
 
+@pytest.mark.parametrize("model, c_fit", [("boussinesq", 1e120), ("mhd", 1e200)])
+def test_sweep_huge_c_fit_has_no_window(tmp_path, model, c_fit):
+    # A c_fit that takes the closed-form constants out of double range (the
+    # MHD ones square it) leaves the member without a theory window; the
+    # sweep still finishes and writes its table.
+    cfg = small_config(model=model, t_end=0.04, c_fit=c_fit, track_particles=False,
+                       output_dir=str(tmp_path))
+    rows = sweep(cfg, [0.1], out_dir=str(tmp_path))
+    assert rows[0]["T_theory"] is None
+    assert (tmp_path / "sweep.csv").exists()
+
+
 def test_sweep_monotone_small(tmp_path):
     cfg = small_config(model="boussinesq", nx=48, ny=48, t_end=2.0,
                        dt_max=0.02, track_particles=False,

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fluidspan import fields, models
+from fluidspan import models
 from fluidspan.errors import InstabilityError, ParameterError
 from fluidspan.fields import (
     Grid,
@@ -294,26 +294,17 @@ def test_conserved_quantities_reference_values(grid):
     assert qi["E_model"] == pytest.approx(qi["E_kinetic"], rel=1e-14)
 
 
-def test_elsasser_vorticity_is_built_once(monkeypatch):
+def test_elsasser_vorticity_is_built_once(fft_counts):
     # (xi + eta) / 2 is inverse-transformed once per state, however many
     # times a diagnostics row asks for the vorticity: velocity recovery,
-    # record and conserved_quantities share it.  They put coefficients on
-    # the grid through fields.to_physical, whose irfft2 call sees only the
-    # axis-0 pass, so the coefficients are recorded as to_physical gets them.
+    # record and conserved_quantities share it.
     state = step_detailed(initial_state(ModelKind.MHD_ELSASSER, Grid(32), delta=0.1), 0.01)[0]
     xi, eta = state.coeffs
     omega_hat = 0.5 * (xi + eta)
-    inputs = []
-    to_physical = fields.to_physical
-
-    def recorded(grid, hat, out=None):
-        inputs.append(hat.copy())
-        return to_physical(grid, hat, out)
-
-    monkeypatch.setattr(fields, "to_physical", recorded)
+    fft_counts.inputs["irfft2"].clear()
     record(StretchingSeries(kind=ModelKind.MHD_ELSASSER), state)
     conserved_quantities(state)
-    calls = [np.array_equal(a, omega_hat) for a in inputs]
+    calls = [np.array_equal(a, omega_hat) for a in fft_counts.inputs["irfft2"]]
     assert sum(calls) == 1
     assert state.vorticity() is state.vorticity()
 
