@@ -123,6 +123,9 @@ class Grid:
         self.KXd[self.nx // 2] = 0.0
         self.KYd = self.KY.copy()
         self.KYd[:, -1] = 0.0
+        # The multipliers of -d_x d_y and d_x^2 - d_y^2 (a stress's curl div).
+        self.kxky = self.KXd * self.KYd
+        self.ky2_minus_kx2 = self.KYd**2 - self.KXd**2
 
         cut_x = DEALIAS_FRACTION * (self.nx / 2)
         cut_y = DEALIAS_FRACTION * (self.ny / 2)
@@ -557,14 +560,13 @@ def half_plane_weights(grid):
 def tail_enstrophy_fraction(omega):
     """Fraction of enstrophy carried by the top eighth of wavenumbers.
 
-    Uses the max(|kx|, |ky|) annulus beyond 7/8 of the Nyquist range; a
-    fraction above ~1e-6 flags resolution loss.
+    Uses the ring max(|kx| / (nx/2), |ky| / (ny/2)) > 7/8, each axis held
+    against its own Nyquist; a fraction above ~1e-6 flags resolution loss.
     """
     g = omega.grid
     hat = omega.hat
     power = half_plane_weights(g) * np.abs(hat) ** 2
-    kmax = min(g.nx, g.ny) / 2
-    ring = np.maximum(np.abs(g.KX), np.abs(g.KY)) > 0.875 * kmax
+    ring = np.maximum(np.abs(g.KX) / (g.nx / 2), np.abs(g.KY) / (g.ny / 2)) > 0.875
     total = float(np.sum(power))
     if total == 0.0:
         return 0.0

@@ -20,14 +20,24 @@ with the energy functional selecting the model:
 The prognostic fields travel through the RK4 stages as one tuple of rfft2
 coefficient arrays per model: (omega,) for Euler, (xi, eta) for the
 Elsasser form and (omega, rho) otherwise.  Each stage evaluates the
-tendency pseudo-spectrally with the kernels of :mod:`fluidspan.fields`:
-derivatives are multipliers, every physical plane a stage needs is built
-once (grad rho of the MHD form is read off the state's B = grad^perp rho,
-the Elsasser coupling takes four planes of the potentials), and each
-field's quadratic terms are summed on the grid and brought back by one
-forward transform masked by the grid's 2/3 rule.  Time stepping is
-classical RK4 with a CFL-limited step; nothing is renormalized, so every
-conservation statement is a measured output.
+tendency pseudo-spectrally with the kernels of :mod:`fluidspan.fields`.
+
+The four Biot-Savart models are in stress form (Basdevant 1983): with
+(div T)_i = d_j T_ji, curl div T = d_x^2 T12 - d_y^2 T21 + d_x d_y (T22 - T11),
+and a . grad(curl a) = curl div(a (x) a) for a divergence-free a in 2D.  So
+omega_t is -curl div(u (x) u) for Euler (plus d_x rho for Boussinesq) and
+curl div(B (x) B - u (x) u) for MHD (J = curl B), and the curls xi, eta of
+z+- = u +- B obey xi_t = -curl div(z- (x) z+), eta_t = -curl div(z+ (x) z-).
+A stage puts only u and B on the grid.  On the 2/3 band both forms give the
+coefficients of one continuous expression, since a masked product of two
+fields inside the band is exact there (Orszag 1971); they differ by
+round-off, which the second derivatives scale by up to (n/3)^2.  Every
+multiplier vanishes at k = 0, so the mean vorticity is conserved exactly.
+IIE keeps the advective form: its u is divergence-free only to the solver's
+tolerance, and its stress rho u (x) u is cubic.
+
+Time stepping is classical RK4 with a CFL-limited step; nothing is
+renormalized, so every conservation statement is a measured output.
 """
 
 from __future__ import annotations
@@ -44,7 +54,6 @@ from .fields import (
     VectorField,
     biot_savart_coeffs,
     derivative_hat,
-    derivative_values,
     gradient_values,
     inverse_laplacian_hat,
     invert_laplacian,
@@ -53,7 +62,6 @@ from .fields import (
     product_hat,
     same_grid,
     sobolev_norm,
-    to_physical,
 )
 
 
@@ -222,30 +230,6 @@ class FluidState:
         return biot_savart_coeffs(self.grid, self.vorticity_hat())
 
 
-def _coupling(grid, omega_hat, current_hat, out=None):
-    """The MHD coupling Q(omega, J) = -2 sum_{jk} d_j u_k d_j d_k phi on the
-    grid, into ``out`` or a new plane, u = K omega = grad^perp psi,
-    psi = Lap^{-1} omega, phi = Lap^{-1} J: the commutator of the Laplacian
-    with transport, which makes the (omega, J) system identical to the
-    (omega, rho) one.
-
-    Written out, Q = 2 (psi_xy (phi_xx - phi_yy) - phi_xy (psi_xx - psi_yy)),
-    so it takes four inverse transforms: f_xy and f_xx - f_yy, whose
-    multiplier is ky^2 - kx^2, for f = psi and phi.
-    """
-    with grid.scratch as s:
-        saddle = np.subtract(grid.KY**2, grid.KX**2, out=s.multiplier())
-        planes = []
-        for hat in (omega_hat, current_hat):
-            f = inverse_laplacian_hat(grid, hat, s.coeffs())
-            planes.append(derivative_values(grid, f, 1, 1, s.plane()))
-            planes.append(to_physical(grid, np.multiply(saddle, f, out=f), s.plane()))
-        psi_xy, psi_d, phi_xy, phi_d = planes
-        q = np.subtract(np.multiply(psi_xy, phi_d, out=psi_xy),
-                        np.multiply(phi_xy, psi_d, out=phi_xy), out=out)
-        return np.multiply(2.0, q, out=q)
-
-
 def elsasser_transform(omega, current):
     """Forward map (omega, J) -> (xi, eta) = (omega + J, omega - J)."""
     same_grid(omega, current)
@@ -264,25 +248,21 @@ def _dot(a1, a2, f1, f2):
     return np.add(f1, f2, out=f1)
 
 
-def _minus_transport(acc, c1, c2, f_x, f_y):
-    """acc - c1 f_x - c2 f_y, formed over acc (f_x and f_y are overwritten)."""
-    acc -= np.multiply(c1, f_x, out=f_x)
-    acc -= np.multiply(c2, f_y, out=f_y)
-    return acc
-
-
 def _tendency(state, out=None):
     """rfft2 coefficients of the model tendency, ordered like state.coeffs,
     into the arrays ``out`` or new ones.
 
-    Each field's quadratic terms are summed on the grid and dealiased
-    together by one masked forward transform (fields.product_hat), so a
-    stage costs one forward transform per field.  Every physical plane is
-    built once: the velocity and B come from the state's cache, and the MHD
-    form reads grad rho as (B2, -B1).  The planes of the terms live in the
-    grid's scratch and are combined in place, in the order in which each
-    term is written out below, so the bits are those of the plain
-    expressions.
+    The Biot-Savart models' vorticity tendencies are -curl div of their
+    stresses (module docstring): masked products of u's and B's components
+    times the grid's multipliers kx ky and ky^2 - kx^2.  The Elsasser pair
+    shares P = z-1 z+2, R = z-2 z+1 and S = z-2 z+2 - z-1 z+1:
+
+        xi_t = -(d_x^2 P - d_y^2 R + d_x d_y S),
+        eta_t = -(d_x^2 R - d_y^2 P + d_x d_y S).
+
+    Boussinesq's rho and both IIE fields are transported in advective form,
+    each field's quadratic terms summed on the grid before one masked
+    product.  The planes live in the grid's scratch.
     """
     g = state.grid
     kind = state.kind
@@ -296,38 +276,28 @@ def _tendency(state, out=None):
 
     with g.scratch as s:
         if kind is ModelKind.MHD_ELSASSER:
-            # xi: q - (u1 - b1) xi_x - (u2 - b2) xi_y; eta: -q - (u1 + b1) eta_x
-            # - (u2 + b2) eta_y.  eta goes first, so that xi can overwrite q.
-            xi, eta = state.coeffs
-            q = _coupling(g, state.vorticity_hat(), state.current_hat(s.coeffs()), s.plane())
-            c1, c2, grad = s.plane(), s.plane(), (s.plane(), s.plane())
-            acc = _minus_transport(np.negative(q, out=s.plane()), np.add(u1, b1, out=c1),
-                                   np.add(u2, b2, out=c2), *gradient_values(g, eta, grad))
-            product_hat(g, acc, out[1])
-            _minus_transport(q, np.subtract(u1, b1, out=c1), np.subtract(u2, b2, out=c2),
-                             *gradient_values(g, xi, grad))
-            return product_hat(g, q, out[0]), out[1]
+            # xi = curl z+ is carried by z-, eta = curl z- by z+.
+            zm1, zm2 = np.subtract(u1, b1, out=s.plane()), np.subtract(u2, b2, out=s.plane())
+            zp1, zp2 = np.add(u1, b1, out=s.plane()), np.add(u2, b2, out=s.plane())
+            plane = s.plane()
+            p = product_hat(g, np.multiply(zm1, zp2, out=plane), s.coeffs())
+            r = product_hat(g, np.multiply(zm2, zp1, out=plane), s.coeffs())
+            np.multiply(zm2, zp2, out=zm2)
+            zm2 -= np.multiply(zm1, zp1, out=zm1)
+            mixed = product_hat(g, zm2, s.coeffs())
+            mixed *= g.kxky
+            # -(d_x^2 P - d_y^2 R + d_x d_y S) = kx^2 P^ - ky^2 R^ + kx ky S^
+            kx2, ky2, tmp = g.KXd**2, g.KYd**2, s.coeffs()
+            for d, a, c in ((out[0], p, r), (out[1], r, p)):
+                np.multiply(kx2, a, out=d)
+                d -= np.multiply(ky2, c, out=tmp)
+                d += mixed
+            return tuple(out)
 
-        omega = state.coeffs[0]
-        # u . grad omega
-        transport = _dot(u1, u2, *gradient_values(g, omega, (s.plane(), s.plane())))
-        if kind is ModelKind.EULER:
-            return (np.negative(product_hat(g, transport, out[0]), out=out[0]),)
-        rho = state.coeffs[1]
-        if kind is ModelKind.BOUSSINESQ:
-            # {dE/drho, rho} with dE/drho = -x2 reduces to the periodic d_x rho.
-            domega = np.negative(product_hat(g, transport, out[0]), out=out[0])
-            domega += derivative_hat(g, rho, 1, 0, s.coeffs())
-            rho_x, rho_y = gradient_values(g, rho, (s.plane(), s.plane()))
-        elif kind is ModelKind.MHD_VORTICITY_CURRENT:
-            # dE/drho = -J: {-J, rho} = {rho, J} = B . grad J, and grad rho = (B2, -B1)
-            j_x, j_y = gradient_values(g, state.current_hat(s.coeffs()), (s.plane(), s.plane()))
-            force = _dot(b1, b2, j_x, j_y)  # b1 j_x + b2 j_y - transport
-            domega = product_hat(g, np.subtract(force, transport, out=force), out[0])
-            cross = np.multiply(u1, b2, out=s.plane())  # u1 b2 - u2 b1
-            cross -= np.multiply(u2, b1, out=transport)
-            return domega, np.negative(product_hat(g, cross, out[1]), out=out[1])
-        else:  # IIE: dE/drho = |u|^2 / 2
+        if kind is ModelKind.IIE:
+            # dE/drho = |u|^2 / 2; omega_t = {|u|^2 / 2, rho} - u . grad omega
+            transport = _dot(u1, u2, *gradient_values(g, state.coeffs[0], (s.plane(), s.plane())))
+            rho = state.coeffs[1]
             energy = np.square(u1, out=s.plane())
             energy += np.square(u2, out=s.plane())
             energy *= 0.5
@@ -338,6 +308,31 @@ def _tendency(state, out=None):
             force -= np.multiply(e_y, rho_x, out=e_y)
             force -= transport
             domega = product_hat(g, force, out[0])
+        else:
+            # omega_t = -curl div(u (x) u), plus curl div(B (x) B) for MHD
+            t12 = np.multiply(u1, u2, out=s.plane())  # u1 u2 - b1 b2
+            diff = np.square(u2, out=s.plane())  # u2^2 - u1^2 - (b2^2 - b1^2)
+            tmp = s.plane()
+            diff -= np.square(u1, out=tmp)
+            if kind is ModelKind.MHD_VORTICITY_CURRENT:
+                t12 -= np.multiply(b1, b2, out=tmp)
+                diff -= np.square(b2, out=tmp)
+                diff += np.square(b1, out=tmp)
+            # -curl div T = kx ky diff^ - (ky^2 - kx^2) t12^
+            domega = product_hat(g, diff, out[0])
+            domega *= g.kxky
+            t12_hat = product_hat(g, t12, s.coeffs())
+            domega -= np.multiply(g.ky2_minus_kx2, t12_hat, out=t12_hat)
+            if kind is ModelKind.EULER:
+                return (domega,)
+            if kind is ModelKind.MHD_VORTICITY_CURRENT:
+                cross = np.multiply(u1, b2, out=t12)  # u1 b2 - u2 b1
+                cross -= np.multiply(u2, b1, out=diff)
+                return domega, np.negative(product_hat(g, cross, out[1]), out=out[1])
+            # Boussinesq: {dE/drho, rho} with dE/drho = -x2 reduces to the periodic d_x rho.
+            rho = state.coeffs[1]
+            domega += derivative_hat(g, rho, 1, 0, s.coeffs())
+            rho_x, rho_y = gradient_values(g, rho, (t12, diff))
         drho = product_hat(g, _dot(u1, u2, rho_x, rho_y), out[1])  # -(u . grad rho)
         return domega, np.negative(drho, out=drho)
 

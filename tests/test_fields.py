@@ -378,6 +378,17 @@ def test_tail_enstrophy_flags_high_modes(grid):
     assert tail_enstrophy_fraction(hi) > 0.5
 
 
+def test_tail_enstrophy_ring_follows_each_axis():
+    # On a 32 x 64 grid |ky| = 20 lies inside the 2/3 band (cut 21.3) and
+    # below 7/8 of the y Nyquist (28), so no enstrophy is in the tail; a
+    # ring cut at 7/8 of the smaller Nyquist (14) would read 0.5.
+    grid = Grid(32, 64)
+    f = ScalarField.from_function(grid, lambda x, y: np.cos(x) + np.cos(20 * y))
+    assert tail_enstrophy_fraction(f) < 1e-20
+    hi = ScalarField.from_function(grid, lambda x, y: np.cos(x) + np.cos(30 * y))
+    assert tail_enstrophy_fraction(hi) == pytest.approx(0.5)
+
+
 def test_vector_field_shares_grid(grid):
     other = Grid(32)
     a = ScalarField.zeros(grid)
