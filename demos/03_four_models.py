@@ -6,9 +6,8 @@ relative drift of every quantity the model is supposed to conserve.
 """
 
 from fluidspan.fields import Grid
+from fluidspan.harness import march
 from fluidspan.models import (
-    ModelKind,
-    cfl_limit,
     conserved_quantities,
     from_elsasser,
     initial_state,
@@ -30,9 +29,8 @@ for model, delta, norm, profile in SETUPS:
     state = initial_state(model, grid, delta=delta, delta_norm=norm,
                           seed_profile=profile)
     start = conserved_quantities(state)
-    while state.t < T_END - 1e-12:
-        dt = min(0.01, cfl_limit(state), T_END - state.t)
-        state, _ = step_detailed(state, dt, check_cfl=False)
+    for state, _ in march(state, None, T_END, 0.01):
+        pass
     end = conserved_quantities(state)
     drifts = []
     for key in ("E_model", "omega_p", "rho_p", "cross_helicity", "mass"):

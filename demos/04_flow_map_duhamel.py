@@ -10,10 +10,9 @@ solution.
 import numpy as np
 
 from fluidspan.fields import Grid, lp_norm
+from fluidspan.harness import march
 from fluidspan.lagrangian import (
     DuhamelHistory,
-    StageBuffers,
-    StageVelocity,
     StretchingSeries,
     advect_flow_map,
     analytic_velocity,
@@ -22,7 +21,7 @@ from fluidspan.lagrangian import (
     jacobian_norms,
     record,
 )
-from fluidspan.models import ModelKind, cfl_limit, initial_state, step_detailed
+from fluidspan.models import ModelKind, initial_state
 
 # --- shear flow: closed-form map ------------------------------------------
 shear = analytic_velocity(
@@ -41,14 +40,10 @@ print(f"chord-arc bound: measured {max(fwd, inv):.4f} <= e = {np.e:.4f}")
 grid = Grid(96)
 state = initial_state(ModelKind.BOUSSINESQ, grid, delta=0.1)
 ens = identity_ensemble(96)
-buffers = StageBuffers(grid)
 series = StretchingSeries(kind=ModelKind.BOUSSINESQ)
 record(series, state, ens)
 hist = DuhamelHistory(state, ens)
-while state.t < 1.0 - 1e-12:
-    dt = min(0.01, cfl_limit(state), 1.0 - state.t)
-    state, stages = step_detailed(state, dt, check_cfl=False)
-    ens = advect_flow_map(ens, StageVelocity(stages, buffers), dt)
+for state, ens in march(state, ens, 1.0, 0.01):
     hist.update(state, ens)
     record(series, state, ens)
 

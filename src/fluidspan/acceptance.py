@@ -37,12 +37,10 @@ from .fields import (
     kato_ratio,
     lp_norm,
 )
-from .harness import RunConfig, sweep
+from .harness import RunConfig, march, sweep
 from .lagrangian import (
     CHORD_ARC_TOL,
     DuhamelHistory,
-    StageBuffers,
-    StageVelocity,
     StretchingSeries,
     advect_flow_map,
     analytic_velocity,
@@ -53,6 +51,7 @@ from .lagrangian import (
 from .models import (
     FluidState,
     ModelKind,
+    conserved_quantities,
     eigenstate_vorticity,
     initial_state,
     step_detailed,
@@ -241,15 +240,11 @@ def criterion_flow_map():
     grid = Grid(64)
     state = initial_state(ModelKind.BOUSSINESQ, grid, delta=0.05)
     ens2 = identity_ensemble(48)
-    buffers = StageBuffers(grid)
     series = StretchingSeries(kind=ModelKind.BOUSSINESQ)
     chord_ok = True
     try:
         record(series, state, ens2)
-        while state.t < 1.0 - 1e-12:
-            dt2 = min(0.02, 1.0 - state.t)
-            state, stages = step_detailed(state, dt2)
-            ens2 = advect_flow_map(ens2, StageVelocity(stages, buffers), dt2)
+        for state, ens2 in march(state, ens2, 1.0, 0.02):
             record(series, state, ens2)
     except ChordArcError:
         chord_ok = False
@@ -273,14 +268,8 @@ def criterion_duhamel():
     grid = Grid(128)
     state = initial_state(ModelKind.BOUSSINESQ, grid, delta=0.1)
     ens = identity_ensemble(128)
-    buffers = StageBuffers(grid)
     hist = DuhamelHistory(state, ens)
-    while state.t < 1.0 - 1e-12:
-        from .models import cfl_limit
-
-        dt = min(0.01, cfl_limit(state), 1.0 - state.t)
-        state, stages = step_detailed(state, dt, check_cfl=False)
-        ens = advect_flow_map(ens, StageVelocity(stages, buffers), dt)
+    for state, ens in march(state, ens, 1.0, 0.01):
         hist.update(state, ens)
     rec = duhamel_vorticity(ens, hist, grid)
     rel = (lp_norm(rec.values - state.omega.values, 2, grid.cell_area)
@@ -346,21 +335,17 @@ def criterion_kato_ratio():
 
 
 def _conservation_run(model, delta, norm="rho_minus_1_W2p", profile="default"):
-    """Bare loop at 256^2 to t = 5 sampling the conserved quantities every 10 steps."""
-    from .models import cfl_limit, conserved_quantities
-
-    t_end = 5.0
-    grid = Grid(256)
-    state = initial_state(model, grid, delta=delta, delta_norm=norm,
+    """Bare march at 256^2 to t = 5 sampling the conserved quantities every
+    10 steps and at the end."""
+    state = initial_state(model, Grid(256), delta=delta, delta_norm=norm,
                           seed_profile=profile)
     samples = [conserved_quantities(state)]
     steps = 0
-    while state.t < t_end - 1e-12:
-        dt = min(0.01, cfl_limit(state), t_end - state.t)
-        state, _ = step_detailed(state, dt, check_cfl=False)
-        steps += 1
-        if steps % 10 == 0 or state.t >= t_end - 1e-12:
+    for steps, (state, _) in enumerate(march(state, None, 5.0, 0.01), 1):
+        if steps % 10 == 0:
             samples.append(conserved_quantities(state))
+    if steps % 10:
+        samples.append(conserved_quantities(state))
     return samples
 
 

@@ -6,9 +6,10 @@
                      --c C [--delta D] [--log10-delta L] [--out DIR]
     fluidspan verify --suite {fast|full}
 
-Exit codes: 0 ok, 1 verification failure, 2 config error, 3 instability,
-4 hypothesis violation, 5 solver failure (elliptic non-convergence or
-vacuum).  FLUIDSPAN_THREADS caps the sweep worker pool.
+Exit codes: 0 ok, 1 verification failure, 2 config error (also a given
+path that cannot be read or written), 3 instability, 4 hypothesis
+violation, 5 solver failure (elliptic non-convergence or vacuum).
+FLUIDSPAN_THREADS caps the sweep worker pool.
 """
 
 from __future__ import annotations
@@ -258,7 +259,7 @@ def main(argv=None):
     except (ConvergenceError, VacuumError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         code = EXIT_SOLVER
-    except FileNotFoundError as exc:
+    except OSError as exc:  # the CLI reads and writes only the paths it was given
         print(f"config error: {exc}", file=sys.stderr)
         code = EXIT_CONFIG
     except FluidspanError as exc:

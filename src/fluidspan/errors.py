@@ -1,10 +1,11 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: ConfigError -> 2, InstabilityError -> 3,
-HypothesisError / NestedLogDomainError -> 4, ConvergenceError /
-VacuumError -> 5.  Inside a run, instability and chord-arc violations end
-with status 3 and elliptic non-convergence and vacuum with status 5; the
-run still writes run_meta.json and ``fluidspan run`` exits with the status.
+The CLI maps these onto exit codes: ConfigError (and an OSError on a path
+the user gave) -> 2, InstabilityError -> 3, HypothesisError /
+NestedLogDomainError -> 4, ConvergenceError / VacuumError -> 5.  Inside a
+run, instability and chord-arc violations end with status 3 and elliptic
+non-convergence and vacuum with status 5; the run still writes
+run_meta.json and ``fluidspan run`` exits with the status.
 """
 
 

@@ -1,10 +1,10 @@
 """Experiment orchestration: single runs, delta sweeps, and persistence.
 
-A run co-advances the Eulerian state and the Lagrangian ensemble, records
-one diagnostics row per step into ``run.csv`` (fixed schema below, empty
-fields for quantities a model does not carry), and closes with
-``run_meta.json``.  Rows are flushed line by line so a crashed or unstable
-run still leaves a parseable file.
+A run co-advances the Eulerian state and the Lagrangian ensemble along
+``march``, records a diagnostics row every ``diag_every`` steps into
+``run.csv`` (fixed schema below, empty fields for quantities a model does
+not carry), and closes with ``run_meta.json``.  Rows are flushed line by
+line so a crashed or unstable run still leaves a parseable file.
 
 Sweeps fan out independent runs over a worker pool (FLUIDSPAN_THREADS caps
 the pool) and gather the empirical bootstrap windows next to the
@@ -252,8 +252,27 @@ def _diagnostics_row(state, series, config):
     }
 
 
+def march(state, ens, t_end, dt_max, cfl=0.5):
+    """Advance ``state`` by RK4 steps to ``t_end``, yielding ``(state, ens)``
+    after each step: the one time loop of the run, the criteria and the demos.
+
+    Each step takes dt = min(dt_max, CFL limit, t_end - t); the march ends
+    once t_end - t is round-off.  A flow-map ensemble ``ens`` (None for
+    none) is advected along the step's four stage velocities, through one
+    StageBuffers owned here.  The layer entry points are looked up as this
+    module's globals on every call: benchmarks/spans.py wraps them here.
+    """
+    buffers = None if ens is None else StageBuffers(state.grid)
+    while state.t < t_end - 1e-14:
+        dt = min(dt_max, cfl_limit(state, cfl), t_end - state.t)
+        state, stages = step_detailed(state, dt, check_cfl=False)
+        if ens is not None:
+            ens = advect_flow_map(ens, StageVelocity(stages, buffers), dt)
+        yield state, ens
+
+
 def run(config, csv_stream=None):
-    """Integrate one configured run, recording diagnostics every step.
+    """Integrate one configured run, recording diagnostics as configured.
 
     Returns a RunResult; an instability or chord-arc violation ends the run
     with status 3, an elliptic non-convergence or vacuum (also one in the
@@ -265,7 +284,6 @@ def run(config, csv_stream=None):
     kind = ModelKind.parse(config.model)
     grid = Grid(config.nx, config.ny)
     ens = identity_ensemble(config.particle_m) if config.track_particles else None
-    buffers = StageBuffers(grid) if config.track_particles else None
     series = StretchingSeries(kind=kind, p=config.p)
     rows = []
     termination = "completed"
@@ -298,16 +316,12 @@ def run(config, csv_stream=None):
             initial_checks["rho0_w4p"] = sobolev_norm(state.density(), 4, config.p)
             initial_checks["rho0_w4p_within_100"] = initial_checks["rho0_w4p"] <= 100.0
         emit(state)
-        while state.t < config.t_end - 1e-14:
-            dt = min(config.dt_max,
-                     cfl_limit(state, config.cfl),
-                     config.t_end - state.t)
-            state, stages = step_detailed(state, dt, check_cfl=False)
-            if ens is not None:
-                ens = advect_flow_map(ens, StageVelocity(stages, buffers), dt)
-            steps += 1
-            if steps % config.diag_every == 0 or state.t >= config.t_end - 1e-14:
+        for steps, (state, ens) in enumerate(
+                march(state, ens, config.t_end, config.dt_max, config.cfl), 1):
+            if steps % config.diag_every == 0:
                 emit(state)
+        if steps % config.diag_every:
+            emit(state)
     except InstabilityError as exc:
         termination = f"instability: {exc}"
         status = 3
@@ -413,9 +427,10 @@ def validate_deltas(deltas):
 def sweep(config, deltas, out_dir=None):
     """Run the config at each delta (descending) and tabulate the windows.
 
-    Members run in a process pool capped by FLUIDSPAN_THREADS; a member
-    failing hard aborts the sweep but the finished rows are preserved in
-    sweep.csv.
+    Members run in a process pool capped by FLUIDSPAN_THREADS.  A member
+    raising (not a run ending with a nonzero status, which is a row) aborts
+    the sweep: the finished rows are written to sweep.csv, then the member's
+    own exception propagates.
     """
     deltas = validate_deltas(deltas)
     threads = thread_count()
@@ -457,6 +472,5 @@ def sweep(config, deltas, out_dir=None):
                 _fmt(row["T_theory"]), str(row["status"]),
             ]) + "\n")
     if failure is not None:
-        raise InstabilityError(
-            f"sweep aborted after {len(rows)} member(s): {failure}")
+        raise failure
     return rows

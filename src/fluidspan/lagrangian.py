@@ -14,8 +14,8 @@ read once per RK4 stage: StageVelocity interpolates the four stage
 velocities of a model step, analytic_velocity wraps closed forms.  A stage
 interpolates five planes, u1, u2, d_x u1, d_y u1 and d_x u2, and returns
 d_y u2 = -d_x u1, so the interpolated grad u is trace-free by construction.
-A run keeps the stage coefficients in StageBuffers that every step's
-StageVelocity refills in place.
+harness.march keeps the stage coefficients in one StageBuffers that every
+step's StageVelocity refills in place.
 
 On top of the ensemble this module tracks the stretching quantities
 
@@ -155,9 +155,9 @@ class StageVelocity:
 
     ``stages`` are the stage velocity fields from models.step_detailed, in
     stage order.  Each stage's interpolator is built here, into that
-    stage's array of ``buffers`` (fresh StageBuffers when None), over the
-    coefficients of five planes: u1, u2, d_x u1, d_y u1 and d_x u2, each
-    prefiltered (five inverse transforms per stage).  ``provider(stage,
+    stage's array of ``buffers``, over the coefficients of five planes:
+    u1, u2, d_x u1, d_y u1 and d_x u2, each prefiltered (five inverse
+    transforms per stage).  ``provider(stage,
     points)`` returns (u, grad u) of that stage at the points, with
     d_y u2 = -d_x u1: grad u is trace-free by construction, which drops
     the round-off divergence of the Biot-Savart velocities and IIE's
@@ -166,9 +166,7 @@ class StageVelocity:
     StageVelocity refills them.
     """
 
-    def __init__(self, stages, buffers=None):
-        if buffers is None:
-            buffers = StageBuffers(stages[0].grid)
+    def __init__(self, stages, buffers):
         self._stages = []
         for w, out in zip(stages, buffers.coeffs):
             g = w.grid

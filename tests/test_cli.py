@@ -189,6 +189,35 @@ def test_run_and_sweep_roundtrip(tmp_path, capsys):
     assert len(lines) == 3
 
 
+def test_sweep_member_path_failure_exit_2(tmp_path, capsys):
+    # A member that cannot write its directory is a path error, not an
+    # instability: the sweep writes the finished rows, then re-raises the
+    # member's own exception, which the CLI reports as a config error.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model = euler\nnx = 16\nny = 16\nt_end = 0.02\n"
+                   "track_particles = false\n")
+    out = tmp_path / "sw"
+    out.mkdir()
+    (out / "delta_01").write_text("a file, not a directory\n")
+    assert main(["sweep", "--config", str(cfg), "--deltas", "0.1,0.01",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert "delta_01" in err
+    lines = (out / "sweep.csv").read_text().strip().splitlines()
+    assert len(lines) == 2 and lines[1].startswith("0.1,")
+
+
+def test_run_out_is_a_file_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model = euler\nnx = 16\nny = 16\nt_end = 0.02\n")
+    out = tmp_path / "out"
+    out.write_text("a file, not a directory\n")
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("deltas", ["0.1,0.1", "inf,1e-2", "1e-1,nan", "abc"])
 def test_sweep_duplicate_deltas_exit_2(tmp_path, capsys, deltas):
     # a bad delta list fails before any member runs or any file is written

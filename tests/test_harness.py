@@ -12,18 +12,29 @@ from hypothesis import strategies as st
 
 from fluidspan.bootstrap import calibrate_c_fit
 from fluidspan.errors import ConfigError
+from fluidspan import harness
+from fluidspan.fields import Grid
 from fluidspan.harness import (
     FROZEN_C_FIT,
     RUN_CSV_HEADER,
     RunConfig,
     config_from_dict,
+    march,
     parse_config_file,
     run,
     run_to_directory,
     sweep,
     validate_deltas,
 )
-from fluidspan.models import DELTA_NORMS, PROFILES, ModelKind
+from fluidspan.lagrangian import StageBuffers, StageVelocity, advect_flow_map, identity_ensemble
+from fluidspan.models import (
+    DELTA_NORMS,
+    PROFILES,
+    ModelKind,
+    cfl_limit,
+    initial_state,
+    step_detailed,
+)
 
 
 def small_config(**over):
@@ -255,11 +266,60 @@ def test_sweep_monotone_small(tmp_path):
     assert t0 <= t1
 
 
+def _snapshot(state, ens):
+    return state.t, [c.copy() for c in state.coeffs], ens.x.copy(), ens.jac.copy()
+
+
+def test_march_matches_reference_loop():
+    # march is the hand-written RK4 loop, bit for bit: the dt rule, the end
+    # test, the unchecked step and the flow map on one reused StageBuffers.
+    grid = Grid(32)
+    t_end, dt_max = 0.1, 0.03  # the last step is cut to land on t_end
+    state = initial_state(ModelKind.BOUSSINESQ, grid, delta=0.1)
+    ens = identity_ensemble(8)
+    buffers = StageBuffers(grid)
+    expected = []
+    while state.t < t_end - 1e-14:
+        dt = min(dt_max, cfl_limit(state, 0.5), t_end - state.t)
+        state, stages = step_detailed(state, dt, check_cfl=False)
+        ens = advect_flow_map(ens, StageVelocity(stages, buffers), dt)
+        expected.append(_snapshot(state, ens))
+
+    got = [_snapshot(state, ens) for state, ens in march(
+        initial_state(ModelKind.BOUSSINESQ, grid, delta=0.1), identity_ensemble(8),
+        t_end, dt_max)]
+    assert len(got) == len(expected) == 4
+    for (t, coeffs, x, jac), (t_ref, coeffs_ref, x_ref, jac_ref) in zip(got, expected):
+        assert t == t_ref
+        assert all(np.array_equal(c, r) for c, r in zip(coeffs, coeffs_ref))
+        assert np.array_equal(x, x_ref) and np.array_equal(jac, jac_ref)
+    assert got[-1][0] == t_end
+
+
+@pytest.mark.parametrize("dt_max, steps", [(0.01, 100), (0.02, 50)])
+def test_march_lands_on_t_end(dt_max, steps):
+    states = [s for s, _ in march(initial_state(ModelKind.EULER, Grid(16)), None, 1.0, dt_max)]
+    assert len(states) == steps and states[-1].t == 1.0
+
+
+def test_march_without_ensemble_builds_no_stage_buffers(monkeypatch):
+    def refuse(grid):
+        raise AssertionError("StageBuffers built")
+
+    monkeypatch.setattr(harness, "StageBuffers", refuse)
+    state = initial_state(ModelKind.EULER, Grid(16))
+    assert len(list(march(state, None, 0.05, 0.01))) == 5
+    with pytest.raises(AssertionError, match="StageBuffers built"):
+        next(march(state, identity_ensemble(4), 0.05, 0.01))
+
+
 def test_benchmark_layer_entry_points_exist(monkeypatch):
     # The traced benchmark wraps each layer at the module attribute where its
-    # caller looks it up; a renamed entry point would read 0 there and pass
-    # for a gain.  benchmarks/spans.py is loaded as a plain module, read-only
-    # (no bytecode cache is written next to it).
+    # caller looks it up; an entry point renamed, or called from another
+    # module, would read 0 there and pass for a gain.  So each one but run
+    # itself is wrapped with a counter, and a particle run and an IIE run
+    # must call every one.  benchmarks/spans.py is loaded as a plain module,
+    # read-only (no bytecode cache is written next to it).
     import importlib
     import importlib.util
     import sys
@@ -273,6 +333,27 @@ def test_benchmark_layer_entry_points_exist(monkeypatch):
     missing = [f"{module}.{attr}" for module, attr, _ in spans.LAYER_SPANS
                if not hasattr(importlib.import_module(module), attr)]
     assert spans.LAYER_SPANS and not missing
+
+    counts = {}
+
+    def counted(key, original):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for module_name, attr, _ in spans.LAYER_SPANS:
+        if (module_name, attr) != ("fluidspan.harness", "run"):
+            module = importlib.import_module(module_name)
+            counts[f"{module_name}.{attr}"] = 0
+            monkeypatch.setattr(module, attr, counted(f"{module_name}.{attr}",
+                                                      getattr(module, attr)))
+    assert run(RunConfig(model="euler", nx=16, ny=16, t_end=0.05, dt_max=0.01,
+                         particle_m=8)).status == 0
+    assert run(RunConfig(model="iie", nx=16, ny=16, delta=0.1, t_end=0.02,
+                         delta_norm="inv_rho_minus_1_W2p",
+                         track_particles=False)).status == 0
+    assert counts and all(counts.values()), counts
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

@@ -85,7 +85,7 @@ def test_area_preservation_for_solver_velocity():
     grid = Grid(64)
     omega = ScalarField.from_function(
         grid, lambda x, y: np.sin(x) * np.sin(y) + 0.7 * np.cos(2 * x + y))
-    prov = StageVelocity([biot_savart(omega)] * 4)
+    prov = StageVelocity([biot_savart(omega)] * 4, StageBuffers(grid))
     ens = identity_ensemble(32)
     dt = 0.02
     for _ in range(50):
@@ -168,7 +168,7 @@ def test_stage_velocity_matches_per_plane_reference():
         return ndimage.map_coordinates(coeffs, coords, order=3, mode="grid-wrap",
                                        prefilter=False).reshape(pts.shape[:-1])
 
-    provider = StageVelocity(stages)
+    provider = StageVelocity(stages, StageBuffers(grid))
     for k, w in enumerate(stages):
         u, grad_u = provider(k, pts)
         assert u.shape == (7, 9, 2) and grad_u.shape == (7, 9, 2, 2)
@@ -196,7 +196,7 @@ def test_refilled_stage_buffers_match_fresh_ones():
     shared, fresh = identity_ensemble(16), identity_ensemble(16)
     for stages in (stages1, stages2):
         shared = advect_flow_map(shared, StageVelocity(stages, buffers), 0.02)
-        fresh = advect_flow_map(fresh, StageVelocity(stages), 0.02)
+        fresh = advect_flow_map(fresh, StageVelocity(stages, StageBuffers(grid)), 0.02)
     assert np.array_equal(shared.x, fresh.x)
     assert np.array_equal(shared.jac, fresh.jac)
 
@@ -217,7 +217,8 @@ def test_stage_velocity_transform_count(monkeypatch, fft_counts, kind, forward):
     # spline_filter; an IIE velocity is physical, so each component costs
     # one forward transform more.  Advecting with them evaluates the shared
     # stencil, never map_coordinates.
-    _, stages = step_detailed(initial_state(kind, Grid(32), delta=0.1), 0.02)
+    grid = Grid(32)
+    _, stages = step_detailed(initial_state(kind, grid, delta=0.1), 0.02)
     fft_counts.update(rfft2=0, irfft2=0)
     counts = {"spline_filter": 0, "map_coordinates": 0}
 
@@ -232,7 +233,7 @@ def test_stage_velocity_transform_count(monkeypatch, fft_counts, kind, forward):
 
     counted(ndimage, "spline_filter")
     counted(ndimage, "map_coordinates")
-    advect_flow_map(identity_ensemble(8), StageVelocity(stages), 0.02)
+    advect_flow_map(identity_ensemble(8), StageVelocity(stages, StageBuffers(grid)), 0.02)
     counts.update(fft_counts)
     assert counts == {"rfft2": forward, "irfft2": 20, "spline_filter": 0, "map_coordinates": 0}
 
@@ -243,7 +244,7 @@ def test_label_grid_matches_spline_filter_reference():
     grid = Grid(32)
     omega = ScalarField.from_function(
         grid, lambda x, y: np.sin(x) * np.sin(y) + 0.7 * np.cos(2 * x + y))
-    prov = StageVelocity([biot_savart(omega)] * 4)
+    prov = StageVelocity([biot_savart(omega)] * 4, StageBuffers(grid))
     ens = identity_ensemble(32)
     for _ in range(10):
         ens = advect_flow_map(ens, prov, 0.05)
@@ -493,7 +494,7 @@ def test_duhamel_pure_transport_oracle():
     dt = 0.02
     for _ in range(25):
         new_state, stages = step_detailed(state, dt)
-        ens = advect_flow_map(ens, StageVelocity(stages), dt)
+        ens = advect_flow_map(ens, StageVelocity(stages, StageBuffers(grid)), dt)
         state = new_state
         hist.update(state, ens)
     rec = duhamel_vorticity(ens, hist, grid)
@@ -576,7 +577,7 @@ def test_transport_lemma_along_run():
     dt = 0.02
     for _ in range(25):
         state, stages = step_detailed(state, dt)
-        ens = advect_flow_map(ens, StageVelocity(stages), dt)
+        ens = advect_flow_map(ens, StageVelocity(stages, StageBuffers(grid)), dt)
     report = check_transport_lemma(ens, rho0, p=4)
     for entry in report.values():
         assert entry["margin"] >= -1e-6 * max(entry["rhs"], 1.0)
@@ -607,7 +608,7 @@ def test_flow_map_is_fourth_order_with_stage_velocities():
         ens = identity_ensemble(16)
         for _ in range(round(t_end / dt)):
             state, stages = step_detailed(state, dt, check_cfl=False)
-            ens = advect_flow_map(ens, StageVelocity(stages), dt)
+            ens = advect_flow_map(ens, StageVelocity(stages, StageBuffers(grid)), dt)
         return ens
 
     ref = flow_map(1 / 256)
