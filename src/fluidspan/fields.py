@@ -17,9 +17,16 @@ temporaries in the grid's :class:`Scratch`, where callers keep the planes
 they use only briefly too, so a time step allocates nothing beyond the
 arrays that outlive it.  Kernels on one :class:`Grid` share its scratch,
 so a Grid, and every field and state on it, is confined to one thread.
+
+Under glibc, importing this module sets one allocator policy for the
+process (:func:`_keep_freed_memory`): freed planes stay in the process for
+reuse instead of going back to the kernel, so the resident set stays at
+its peak until exit.
 """
 
 from __future__ import annotations
+
+import ctypes
 
 import numpy as np
 
@@ -32,6 +39,38 @@ DEALIAS_FRACTION = 2.0 / 3.0
 
 # Largest mean, relative to the rms, that the inverse Laplacian accepts.
 MEAN_TOL = 1e-10
+
+# glibc's mallopt parameters (<malloc.h>).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory():
+    """Keep freed memory in the process for glibc's malloc to reuse.
+
+    By default glibc maps each block above a threshold (128 KiB, a 128^2
+    plane, at first, sliding up to the largest mapped block freed) on its
+    own, and trims its heap top once more than twice that is free there: a
+    freed plane goes back to the kernel and the next is faulted in again
+    page by page, most of an RK4 march's page faults.  Setting either
+    threshold freezes the other (mallopt(3)), so the trim threshold is set
+    only once the mapping threshold is: frozen below a 256^2 plane, that
+    one would map every such plane.  32 MiB is the sliding threshold's own
+    ceiling on 64-bit systems and the most that older versions accept;
+    1 GiB of free heap top is more than a run frees.  Nothing is set where
+    mallopt is missing (macOS, Windows) or refuses the mapping threshold
+    (musl's stub).
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, 32 << 20):
+        mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+
+
+_keep_freed_memory()
 
 
 class Scratch:
@@ -123,13 +162,14 @@ class Grid:
         self.KXd[self.nx // 2] = 0.0
         self.KYd = self.KY.copy()
         self.KYd[:, -1] = 0.0
-        # The multipliers of -d_x d_y and d_x^2 - d_y^2 (a stress's curl div).
-        self.kxky = self.KXd * self.KYd
-        self.ky2_minus_kx2 = self.KYd**2 - self.KXd**2
-
         cut_x = DEALIAS_FRACTION * (self.nx / 2)
         cut_y = DEALIAS_FRACTION * (self.ny / 2)
         self.dealias_keep = (np.abs(self.KX) <= cut_x) & (np.abs(self.KY) <= cut_y)
+        # The multipliers of -d_x d_y and d_x^2 - d_y^2 (a stress's curl div),
+        # zero beyond the dealias cutoff: times a product's plain rfft2 they
+        # give the masked product's derivative.
+        self.kxky = self.KXd * self.KYd * self.dealias_keep
+        self.ky2_minus_kx2 = (self.KYd**2 - self.KXd**2) * self.dealias_keep
         self.scratch = Scratch(self)
 
     def __eq__(self, other):
@@ -143,7 +183,14 @@ class Grid:
 
 
 class ScalarField:
-    """Periodic scalar with dual physical/spectral representation."""
+    """Periodic scalar with dual physical/spectral representation.
+
+    ``hat`` holds the rfft2 coefficients: the array given at construction;
+    or, when ``_hat`` is a function, what it returns on each read (the
+    components of a Biot-Savart velocity read theirs off the vorticity's
+    and keep none); else one forward transform of the samples, made on the
+    first read and kept.
+    """
 
     __slots__ = ("grid", "values", "_hat")
 
@@ -174,6 +221,8 @@ class ScalarField:
 
     @property
     def hat(self):
+        if callable(self._hat):
+            return self._hat()
         if self._hat is None:
             self._hat = np.fft.rfft2(self.values)
         return self._hat
@@ -308,8 +357,13 @@ def velocity_hat(grid, omega_hat, out=(None, None)):
     _require_mean_zero(grid, omega_hat, MEAN_TOL)
     with grid.scratch as s:
         psi = inverse_laplacian_hat(grid, omega_hat, s.coeffs())
-        u1 = derivative_hat(grid, psi, 0, 1, out[0])
-        return np.negative(u1, out=u1), derivative_hat(grid, psi, 1, 0, out[1])
+        return tuple(_perp_hat(grid, psi, a, o) for a, o in enumerate(out))
+
+
+def _perp_hat(grid, psi_hat, a, out=None):
+    """Coefficients of component a of grad^perp psi = (-d_y psi, d_x psi)."""
+    u = derivative_hat(grid, psi_hat, a, 1 - a, out)
+    return u if a else np.negative(u, out=u)
 
 
 def gradient_hat(grid, hat):
@@ -419,9 +473,20 @@ def biot_savart(omega):
 
 def biot_savart_coeffs(grid, omega_hat):
     """:func:`biot_savart` from omega's rfft2 coefficients: two inverse
-    transforms, none for omega itself."""
-    u1, u2 = velocity_hat(grid, omega_hat)
-    return VectorField(ScalarField.from_hat(grid, u1), ScalarField.from_hat(grid, u2))
+    transforms, none for omega itself.  The components keep their samples
+    and ``omega_hat``, not coefficients of their own: each reads its
+    coefficients off omega_hat whenever asked, as :func:`velocity_hat` does
+    (no transform), so omega_hat must not change while they are in use."""
+
+    def component_hat(a):
+        with grid.scratch as s:
+            return _perp_hat(grid, inverse_laplacian_hat(grid, omega_hat, s.coeffs()), a)
+
+    with grid.scratch as s:
+        u1, u2 = (to_physical(grid, h)
+                  for h in velocity_hat(grid, omega_hat, (s.coeffs(), s.coeffs())))
+    return VectorField(ScalarField(grid, u1, lambda: component_hat(0)),
+                       ScalarField(grid, u2, lambda: component_hat(1)))
 
 
 def dealias(f):

@@ -21,6 +21,11 @@ import os
 import time
 from dataclasses import asdict, dataclass, field, fields
 
+try:
+    import resource
+except ImportError:  # Windows
+    resource = None
+
 from . import __version__
 from .bootstrap import bootstrap_monitor, theory_window
 from .elliptic import METHOD
@@ -268,6 +273,7 @@ def march(state, ens, t_end, dt_max, cfl=0.5):
         state, stages = step_detailed(state, dt, check_cfl=False)
         if ens is not None:
             ens = advect_flow_map(ens, StageVelocity(stages, buffers), dt)
+        del stages  # not held through the caller's work and the next step
         yield state, ens
 
 
@@ -356,15 +362,30 @@ def run(config, csv_stream=None):
                      solver=solver)
 
 
+def _usage():
+    """This process's CPU seconds and minor page faults so far (getrusage),
+    or None where the resource module is missing."""
+    if resource is None:
+        return None
+    r = resource.getrusage(resource.RUSAGE_SELF)
+    return {"cpu_user_s": r.ru_utime, "cpu_sys_s": r.ru_stime, "minor_faults": r.ru_minflt}
+
+
 def run_to_directory(config, out_dir=None):
-    """run() with run.csv / run_meta.json persisted."""
+    """run() with run.csv / run_meta.json persisted.
+
+    ``run_meta.json``'s ``timings`` hold the process's CPU seconds and
+    minor page faults during run() (null without the resource module);
+    ``wall_seconds`` spans the whole call."""
     threads = thread_count()
     out_dir = out_dir or config.output_dir
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "run.csv")
     started = time.time()
     with open(csv_path, "w") as stream:
+        usage = _usage()
         result = run(config, csv_stream=stream)
+        timings = None if usage is None else {k: v - usage[k] for k, v in _usage().items()}
     meta = {
         "config": asdict(config),
         "config_hash": config_hash(config),
@@ -382,6 +403,7 @@ def run_to_directory(config, out_dir=None):
             "unconditional": result.monitor.unconditional,
             "components": result.monitor.components,
         },
+        "timings": timings,
         "wall_seconds": time.time() - started,
         "grid_note": "horizons and grids are experimental choices, not paper values",
     }

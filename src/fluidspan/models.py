@@ -62,6 +62,7 @@ from .fields import (
     product_hat,
     same_grid,
     sobolev_norm,
+    to_physical,
 )
 
 
@@ -199,8 +200,8 @@ class FluidState:
             self.grid, self._density_hat(np.empty_like(self.coeffs[0]))))
 
     def magnetic_field(self):
-        """B = grad^perp rho of the MHD models, built from the coefficients
-        (two inverse transforms); None for the others."""
+        """B = grad^perp rho of the MHD models, as samples built from the
+        coefficients (two inverse transforms); None for the others."""
         if self.kind not in MHD_KINDS:
             return None
 
@@ -208,9 +209,10 @@ class FluidState:
             g = self.grid
             with g.scratch as s:
                 rho = self._density_hat(s.coeffs())
-                b1, b2 = derivative_hat(g, rho, 0, 1), derivative_hat(g, rho, 1, 0)
-            return VectorField(ScalarField.from_hat(g, np.negative(b1, out=b1)),
-                               ScalarField.from_hat(g, b2))
+                b1 = derivative_hat(g, rho, 0, 1, s.coeffs())
+                b2 = derivative_hat(g, rho, 1, 0, s.coeffs())
+                return VectorField(ScalarField(g, to_physical(g, np.negative(b1, out=b1))),
+                                   ScalarField(g, to_physical(g, b2)))
         return self._cached("magnetic_field", build)
 
     def velocity(self):
@@ -253,9 +255,11 @@ def _tendency(state, out=None):
     into the arrays ``out`` or new ones.
 
     The Biot-Savart models' vorticity tendencies are -curl div of their
-    stresses (module docstring): masked products of u's and B's components
-    times the grid's multipliers kx ky and ky^2 - kx^2.  The Elsasser pair
-    shares P = z-1 z+2, R = z-2 z+1 and S = z-2 z+2 - z-1 z+1:
+    stresses (module docstring): products of u's and B's components, each
+    one forward transform times the grid's multipliers kx ky and
+    ky^2 - kx^2, which carry the dealias mask.  The Elsasser pair shares
+    P = z-1 z+2, R = z-2 z+1 and S = z-2 z+2 - z-1 z+1 (P and R, taken by
+    the kx^2 column and the ky^2 row, as masked products):
 
         xi_t = -(d_x^2 P - d_y^2 R + d_x d_y S),
         eta_t = -(d_x^2 R - d_y^2 P + d_x d_y S).
@@ -284,7 +288,7 @@ def _tendency(state, out=None):
             r = product_hat(g, np.multiply(zm2, zp1, out=plane), s.coeffs())
             np.multiply(zm2, zp2, out=zm2)
             zm2 -= np.multiply(zm1, zp1, out=zm1)
-            mixed = product_hat(g, zm2, s.coeffs())
+            mixed = np.fft.rfft2(zm2, out=s.coeffs())
             mixed *= g.kxky
             # -(d_x^2 P - d_y^2 R + d_x d_y S) = kx^2 P^ - ky^2 R^ + kx ky S^
             kx2, ky2, tmp = g.KXd**2, g.KYd**2, s.coeffs()
@@ -319,9 +323,9 @@ def _tendency(state, out=None):
                 diff -= np.square(b2, out=tmp)
                 diff += np.square(b1, out=tmp)
             # -curl div T = kx ky diff^ - (ky^2 - kx^2) t12^
-            domega = product_hat(g, diff, out[0])
+            domega = np.fft.rfft2(diff, out=out[0])
             domega *= g.kxky
-            t12_hat = product_hat(g, t12, s.coeffs())
+            t12_hat = np.fft.rfft2(t12, out=s.coeffs())
             domega -= np.multiply(g.ky2_minus_kx2, t12_hat, out=t12_hat)
             if kind is ModelKind.EULER:
                 return (domega,)

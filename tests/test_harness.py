@@ -165,6 +165,18 @@ def test_run_meta_solver_summary(tmp_path):
     assert json.loads((tmp_path / "euler" / "run_meta.json").read_text())["solver"] is None
 
 
+def test_run_meta_timings(tmp_path):
+    # The run's CPU seconds and minor page faults, as getrusage deltas, go
+    # to run_meta.json; run.csv keeps its header.
+    pytest.importorskip("resource")
+    run_to_directory(small_config(t_end=0.02, output_dir=str(tmp_path)))
+    timings = json.loads((tmp_path / "run_meta.json").read_text())["timings"]
+    assert set(timings) == {"cpu_user_s", "cpu_sys_s", "minor_faults"}
+    assert all(v >= 0 for v in timings.values())
+    assert isinstance(timings["minor_faults"], int)
+    assert (tmp_path / "run.csv").read_text().splitlines()[0] == RUN_CSV_HEADER
+
+
 def test_determinism_byte_identical(tmp_path):
     cfg1 = small_config(model="boussinesq", delta=0.02, t_end=0.1,
                         output_dir=str(tmp_path / "a"))

@@ -1,3 +1,7 @@
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -481,14 +485,17 @@ def test_record_transform_count(kind, fft_counts):
 # Transient memory of one RK4 step at 64^2, in planes of nx * ny doubles:
 # the peak of step_detailed minus what it keeps (the new state and the
 # stage velocities), once two steps have sized the grid's scratch.  What is
-# left is by design: each stage state's own coefficients and its cached
-# velocity, B and vorticity.  Written with plain expressions, the step took
-# 9.3, 16.4, 20.5, 26.0 and 30.9 planes.
+# left is by design: what a stage state holds beyond its velocity, which
+# keeps only its samples and the vorticity's coefficients (rho's
+# coefficients, B's samples, Elsasser's xi and eta, IIE's rho samples).
+# Written with plain expressions, the step took 9.3, 16.4, 20.5, 26.0 and
+# 30.9 planes; with every Biot-Savart velocity and B keeping its own
+# coefficients, 1.2, 2.2, 5.2, 6.3 and 3.1.
 STEP_TRANSIENT_PLANES = {
-    ModelKind.EULER: 2,
-    ModelKind.BOUSSINESQ: 3,
-    ModelKind.MHD_VORTICITY_CURRENT: 7,
-    ModelKind.MHD_ELSASSER: 8,
+    ModelKind.EULER: 1,
+    ModelKind.BOUSSINESQ: 2,
+    ModelKind.MHD_VORTICITY_CURRENT: 3,
+    ModelKind.MHD_ELSASSER: 4,
     ModelKind.IIE: 4,
 }
 
@@ -507,3 +514,39 @@ def test_step_transient_memory(kind):
         tracemalloc.stop()
     assert kept[0].t > state.t
     assert (peak - current) / (n * n * 8) < STEP_TRANSIENT_PLANES[kind]
+
+
+# Ten MHD steps after three warm-up ones, counted in a fresh interpreter
+# whose heap no earlier test has sized.
+KEEPS_PAGES = """
+import resource
+from fluidspan.fields import Grid
+from fluidspan.models import cfl_limit, initial_state, step_detailed
+
+def step(state):
+    return step_detailed(state, min(0.01, cfl_limit(state)), check_cfl=False)[0]
+
+state = initial_state("mhd", Grid({n}), delta=0.05, delta_norm="rho_minus_1_W3p")
+for _ in range(3):
+    state = step(state)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    state = step(state)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="a glibc allocator policy")
+@pytest.mark.parametrize("n", [128, 256])
+def test_rk4_steps_keep_their_pages(n):
+    # Without fields' allocator policy glibc hands freed planes back to the
+    # kernel and faults the next ones in again, page by page: these steps
+    # took 1,125 minor faults at 128^2 and 9,764 at 256^2.  With the trim
+    # threshold set alone, the mapping threshold stays below a 256^2 plane
+    # and they took 51,840 there.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run([sys.executable, "-c", KEEPS_PAGES.format(n=n)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert int(proc.stdout.split()[-1]) <= 16
