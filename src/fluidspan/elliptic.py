@@ -66,42 +66,40 @@ class EllipticSolveReport:
     contraction_estimate: float  # ||mu - 1||_inf
 
 
-def _inverse_density(rho, out):
+def _inverse_density(rho):
     if float(np.min(rho.values)) <= VACUUM_FLOOR:
         raise VacuumError(
             f"density not bounded away from zero: min rho = {np.min(rho.values):.3e}"
         )
-    return np.divide(1.0, rho.values, out=out)
+    return 1.0 / rho.values
 
 
-def _flux(grid, mu, x_hat, out):
-    """mu grad x on the grid from the coefficients of x, into the pair of
-    planes out: 2 inverse transforms."""
-    for f in gradient_values(grid, x_hat, out):
-        np.multiply(mu, f, out=f)
-    return out
+def _flux(grid, mu, x_hat):
+    """mu grad x on the grid from the coefficients of x: 2 inverse
+    transforms."""
+    fx, fy = gradient_values(grid, x_hat)
+    fx *= mu
+    fy *= mu
+    return fx, fy
 
 
-def _div_hat(grid, fx, fy, out):
-    """Coefficients of div(fx, fy) from its grid samples, into out: 2
+def _div_hat(grid, fx, fy):
+    """Coefficients of div(fx, fy) from its grid samples: 2 forward
+    transforms."""
+    div_y = derivative_hat(grid, np.fft.rfft2(fy), 0, 1)
+    div = derivative_hat(grid, np.fft.rfft2(fx), 1, 0)
+    div += div_y
+    return div
+
+
+def _apply_a(grid, mu, x_hat):
+    """Coefficients of -div(mu grad x) from those of x: 2 inverse and 2
     forward transforms."""
-    with grid.scratch as s:
-        div_y = derivative_hat(grid, np.fft.rfft2(fy, out=s.coeffs()), 0, 1, s.coeffs())
-        div_x = derivative_hat(grid, np.fft.rfft2(fx, out=out), 1, 0, out)
-        return np.add(div_x, div_y, out=out)
+    div = _div_hat(grid, *_flux(grid, mu, x_hat))
+    return np.negative(div, out=div)
 
 
-def _apply_a(grid, mu, x_hat, out=None):
-    """Coefficients of -div(mu grad x) from those of x, into out or a new
-    array: 2 inverse and 2 forward transforms."""
-    if out is None:
-        out = np.empty_like(x_hat)
-    with grid.scratch as s:
-        div = _div_hat(grid, *_flux(grid, mu, x_hat, (s.plane(), s.plane())), out)
-        return np.negative(div, out=div)
-
-
-def _pcg_solve(grid, mu, rhs, tol, flux, max_iter=500, x0=None):
+def _pcg_solve(grid, mu, rhs, tol, max_iter=500, x0=None):
     """Preconditioned CG for -div(mu grad x) = rhs on rfft2 coefficients,
     from the coefficients x0 or zero.
 
@@ -114,14 +112,13 @@ def _pcg_solve(grid, mu, rhs, tol, flux, max_iter=500, x0=None):
     (breakdown), a step no longer changes the iterate (stagnation) or
     max_iter; the true residual of the iterate then decides: done, restart
     from it, or stop because it no longer improves.  The iterate, the
-    residual, the search direction, A p and the step are updated in place
-    in the grid's scratch.
+    residual and the search direction are updated in place.
 
-    Returns (x_hat, iterations, residual) for the best iterate seen, with
-    the mean mode zeroed and residual = ||-div(mu grad x) - rhs|| / ||rhs||;
-    the pair of planes ``flux`` then holds mu grad x as formed by its true
-    residual.  The mean of rhs is removed in place.  A zero rhs gives x = 0,
-    counted as one iteration.
+    Returns (x_hat, iterations, residual, flux) for the best iterate seen,
+    with the mean mode zeroed, residual = ||-div(mu grad x) - rhs|| / ||rhs||
+    and flux the pair of planes mu grad x as formed by its true residual.
+    The mean of rhs is removed in place.  A zero rhs gives x = 0, counted as
+    one iteration.
     """
     size = grid.nx * grid.ny
 
@@ -134,56 +131,53 @@ def _pcg_solve(grid, mu, rhs, tol, flux, max_iter=500, x0=None):
     rhs[0, 0] = 0.0
     rhs_norm = norm(rhs)
     if rhs_norm == 0.0:
-        for f in flux:
-            f.fill(0.0)
-        return np.zeros_like(rhs), 1, 0.0
+        return np.zeros_like(rhs), 1, 0.0, (np.zeros_like(mu), np.zeros_like(mu))
     target = tol * rhs_norm
 
-    with grid.scratch as s:
-        k2 = np.add(grid.KXd**2, grid.KYd**2, out=s.multiplier())
-        inv_k2 = s.multiplier()
-        inv_k2.fill(0.0)
-        np.divide(1.0, k2, out=inv_k2, where=k2 > 0.0)
-        x, r, z, p, ap = (s.coeffs() for _ in range(5))
-        trial = (s.plane(), s.plane())
+    k2 = grid.KXd**2 + grid.KYd**2
+    inv_k2 = np.divide(1.0, k2, out=np.zeros_like(k2), where=k2 > 0.0)
 
-        def true_residual(flux):
-            return np.add(rhs, _div_hat(grid, *_flux(grid, mu, x, flux), r), out=r)
+    def true_residual(x):
+        """The residual rhs + div(mu grad x) and the flux mu grad x."""
+        flux = _flux(grid, mu, x)
+        r = _div_hat(grid, *flux)
+        r += rhs
+        return r, flux
 
-        if x0 is None:
-            x.fill(0.0)
-        else:
-            np.copyto(x, x0)
-        best_x, best_norm = x.copy(), norm(true_residual(flux))
-        it = 0
-        while best_norm > target and it < max_iter:
-            np.copyto(p, np.multiply(inv_k2, r, out=z))
-            rz = dot(r, z)
-            while it < max_iter:
-                it += 1
-                pap = dot(p, _apply_a(grid, mu, p, ap))
-                if not pap > 0.0:
-                    break
-                alpha = rz / pap
-                step = np.multiply(alpha, p, out=z)
-                x += step
-                r -= np.multiply(alpha, ap, out=ap)
-                if norm(r) <= target or norm(step) <= EPS * norm(x):
-                    break
-                np.multiply(inv_k2, r, out=z)
-                rz_new = dot(r, z)
-                p *= rz_new / rz  # p = z + (rz_new / rz) p
-                np.add(z, p, out=p)
-                rz = rz_new
-            r_norm = norm(true_residual(trial))
-            if not r_norm < best_norm:
+    x = np.zeros_like(rhs) if x0 is None else x0.copy()
+    r, flux = true_residual(x)
+    best_x, best_norm = x.copy(), norm(r)
+    it = 0
+    while best_norm > target and it < max_iter:
+        z = inv_k2 * r
+        p = z.copy()
+        rz = dot(r, z)
+        while it < max_iter:
+            it += 1
+            ap = _apply_a(grid, mu, p)
+            pap = dot(p, ap)
+            if not pap > 0.0:
                 break
-            np.copyto(best_x, x)
-            for f, t in zip(flux, trial):
-                np.copyto(f, t)
-            best_norm = r_norm
+            alpha = rz / pap
+            step = alpha * p
+            x += step
+            ap *= alpha
+            r -= ap
+            if norm(r) <= target or norm(step) <= EPS * norm(x):
+                break
+            z = inv_k2 * r
+            rz_new = dot(r, z)
+            p *= rz_new / rz  # p = z + (rz_new / rz) p
+            p += z
+            rz = rz_new
+        r, trial = true_residual(x)
+        r_norm = norm(r)
+        if not r_norm < best_norm:
+            break
+        np.copyto(best_x, x)
+        flux, best_norm = trial, r_norm
     best_x[0, 0] = 0.0
-    return best_x, it, best_norm / rhs_norm
+    return best_x, it, best_norm / rhs_norm, flux
 
 
 class WarmStart:
@@ -250,39 +244,32 @@ def recover_velocity_detailed(rho, omega_hat, tol=1e-10, q0=None):
     exactly when rho is identically 1 (q = 0, counted as one iteration).
     q0 is the start as coefficients (a :class:`WarmStart` prediction, or
     None for zero).  A best residual above 10 * tol raises
-    ConvergenceError.  Everything but u and q_hat lives in the grid's
-    scratch.
+    ConvergenceError.
     """
     grid = rho.grid
-    with grid.scratch as s:
-        mu = _inverse_density(rho, s.plane())
-        dmu = np.subtract(mu, 1.0, out=s.plane())
-        ku, kv = (to_physical(grid, h, s.plane())
-                  for h in velocity_hat(grid, omega_hat, (s.coeffs(), s.coeffs())))
-        fx, fy = flux = s.plane(), s.plane()
-        # -div(mu grad q) = b with b = div((mu - 1) K omega)
-        rhs = _div_hat(grid, np.multiply(dmu, ku, out=fx), np.multiply(dmu, kv, out=fy),
-                       s.coeffs())
-        q_hat, iterations, residual = _pcg_solve(grid, mu, rhs, tol, flux, x0=q0)
-        report = EllipticSolveReport(iterations, residual, METHOD,
-                                     float(max(np.max(dmu), -np.min(dmu))))
-        if residual > 10 * tol:
-            raise ConvergenceError(
-                f"elliptic solve stopped after {iterations} iterations at residual "
-                f"{residual:.3e} (tol {tol:.1e})",
-                report,
-            )
-        u1, u2 = np.multiply(mu, ku), np.multiply(mu, kv)
-        u = VectorField(ScalarField(grid, np.add(u1, fx, out=u1)),
-                        ScalarField(grid, np.add(u2, fy, out=u2)))
-    return u, q_hat, report
+    mu = _inverse_density(rho)
+    dmu = mu - 1.0
+    ku, kv = (to_physical(grid, h) for h in velocity_hat(grid, omega_hat))
+    # -div(mu grad q) = b with b = div((mu - 1) K omega)
+    rhs = _div_hat(grid, dmu * ku, dmu * kv)
+    q_hat, iterations, residual, (fx, fy) = _pcg_solve(grid, mu, rhs, tol, x0=q0)
+    report = EllipticSolveReport(iterations, residual, METHOD,
+                                 float(max(np.max(dmu), -np.min(dmu))))
+    if residual > 10 * tol:
+        raise ConvergenceError(
+            f"elliptic solve stopped after {iterations} iterations at residual "
+            f"{residual:.3e} (tol {tol:.1e})",
+            report,
+        )
+    u1, u2 = mu * ku, mu * kv
+    u1 += fx
+    u2 += fy
+    return VectorField(ScalarField(grid, u1), ScalarField(grid, u2)), q_hat, report
 
 
 def solve_div_form(rho, f, tol=1e-12, max_iter=500):
     """Solve div(rho^-1 grad q) = f for mean-zero q, given the right-hand
     side f (its mean removed); returns q."""
     grid = rho.grid
-    with grid.scratch as s:
-        mu = _inverse_density(rho, s.plane())
-        q_hat, _, _ = _pcg_solve(grid, mu, -f.hat, tol, (s.plane(), s.plane()), max_iter)
+    q_hat = _pcg_solve(grid, _inverse_density(rho), -f.hat, tol, max_iter)[0]
     return ScalarField.from_hat(grid, q_hat)

@@ -12,16 +12,12 @@ together with an on-demand rfft2 mirror; the field-level toolbox
 wraps the kernels.  Fields are immutable after construction: every
 operation returns a new field.
 
-Kernels write their result into ``out`` when given one and keep their
-temporaries in the grid's :class:`Scratch`, where callers keep the planes
-they use only briefly too, so a time step allocates nothing beyond the
-arrays that outlive it.  Kernels on one :class:`Grid` share its scratch,
-so a Grid, and every field and state on it, is confined to one thread.
-
-Under glibc, importing this module sets one allocator policy for the
-process (:func:`_keep_freed_memory`): freed planes stay in the process for
-reuse instead of going back to the kernel, so the resident set stays at
-its peak until exit.
+Kernels return new arrays.  Under glibc, importing this module sets one
+allocator policy for the process (:func:`_keep_freed_memory`): freed
+planes stay in the process for reuse instead of going back to the kernel,
+so a time step's temporaries are not faulted in again, and the resident
+set stays at its peak until exit.  Elsewhere (macOS, musl) nothing is set,
+and a step faults its planes in again.
 """
 
 from __future__ import annotations
@@ -73,51 +69,6 @@ def _keep_freed_memory():
 _keep_freed_memory()
 
 
-class Scratch:
-    """Reused planes of one grid, lent out in nested frames.
-
-    ``with grid.scratch as s:`` opens a frame; inside it ``s.plane()``,
-    ``s.coeffs()`` and ``s.multiplier()`` lend the next free real plane
-    (nx, ny), rfft2 coefficient plane (nx, ny // 2 + 1) or real multiplier
-    (nx, ny // 2 + 1), each made on first use, and leaving the frame takes
-    back everything lent in it.  So the scratch grows to what the deepest
-    nesting of frames needs and no further, and a later frame at the same
-    depth reuses the same planes: nothing lent may be read after its frame
-    closes.  Confined to one thread, like its grid.
-    """
-
-    def __init__(self, grid):
-        half = (grid.nx, grid.ny // 2 + 1)
-        self._kinds = (((grid.nx, grid.ny), np.float64), (half, np.complex128),
-                       (half, np.float64))
-        self._planes = ([], [], [])
-        self._used = [0, 0, 0]
-        self._frames = []
-
-    def __enter__(self):
-        self._frames.append(tuple(self._used))
-        return self
-
-    def __exit__(self, *exc):
-        self._used = list(self._frames.pop())
-
-    def _lend(self, kind):
-        planes, i = self._planes[kind], self._used[kind]
-        if i == len(planes):
-            planes.append(np.empty(*self._kinds[kind]))
-        self._used[kind] = i + 1
-        return planes[i]
-
-    def plane(self):
-        return self._lend(0)
-
-    def coeffs(self):
-        return self._lend(1)
-
-    def multiplier(self):
-        return self._lend(2)
-
-
 class Grid:
     """Uniform periodic grid on the 2pi x 2pi torus.
 
@@ -125,9 +76,6 @@ class Grid:
     ----------
     nx, ny : int
         Grid points per axis; must be even and >= 8.
-
-    ``scratch`` holds the reused planes of the kernels that run on the
-    grid (:class:`Scratch`); it is why a Grid is confined to one thread.
     """
 
     def __init__(self, nx, ny=None):
@@ -170,7 +118,6 @@ class Grid:
         # give the masked product's derivative.
         self.kxky = self.KXd * self.KYd * self.dealias_keep
         self.ky2_minus_kx2 = (self.KYd**2 - self.KXd**2) * self.dealias_keep
-        self.scratch = Scratch(self)
 
     def __eq__(self, other):
         return isinstance(other, Grid) and self.nx == other.nx and self.ny == other.ny
@@ -268,10 +215,7 @@ class VectorField:
         self.v = v
 
     def max_abs(self):
-        with self.grid.scratch as s:
-            speed2 = np.square(self.u.values, out=s.plane())
-            speed2 += np.square(self.v.values, out=s.plane())
-            return float(np.sqrt(np.max(speed2)))
+        return float(np.sqrt(np.max(self.u.values**2 + self.v.values**2)))
 
 
 def _coerce(field, other):
@@ -297,72 +241,62 @@ def same_grid(*fields):
 _I_POWERS = (1.0, 1j, -1.0, -1j)
 
 
-def to_physical(grid, hat, out=None):
-    """Samples of the field with rfft2 coefficients ``hat``, into ``out`` or
-    a new plane.  irfftn, not irfft2, because irfft2 drops its ``out``; the
-    two make the same passes, with the same bits."""
-    return np.fft.irfftn(hat, s=(grid.nx, grid.ny), axes=(-2, -1), out=out)
+def to_physical(grid, hat):
+    """Samples of the field with rfft2 coefficients ``hat``."""
+    return np.fft.irfft2(hat, s=(grid.nx, grid.ny))
 
 
-def dealias_hat(grid, hat, out=None):
+def dealias_hat(grid, hat):
     """Zero every mode beyond the grid's dealias cutoff."""
-    return np.multiply(hat, grid.dealias_keep, out=out)
+    return hat * grid.dealias_keep
 
 
-def product_hat(grid, values, out=None):
+def product_hat(grid, values):
     """Dealiased coefficients of a quadratic term sampled on the grid: one
     forward transform, masked in place."""
-    hat = np.fft.rfft2(values, out=out)
-    return dealias_hat(grid, hat, hat)
+    hat = np.fft.rfft2(values)
+    hat *= grid.dealias_keep
+    return hat
 
 
-def derivative_hat(grid, hat, a, b, out=None):
+def derivative_hat(grid, hat, a, b):
     """Coefficients of d_x^a d_y^b f: hat times i^(a+b) kx^a ky^b.
 
     Odd orders use the wavenumbers with the Nyquist mode zeroed.  A pure x
-    or y derivative multiplies by a column or a row, not a full plane, and
-    may write over ``hat`` itself; a mixed one forms its multiplier in the
-    grid's scratch and ``out``.
+    or y derivative multiplies by a column or a row, a mixed one by a full
+    plane.
     """
     kx = grid.KXd if a % 2 else grid.KX
     ky = grid.KYd if b % 2 else grid.KY
     if b == 0:
-        return np.multiply(_I_POWERS[a % 4] * kx**a, hat, out=out)
+        return _I_POWERS[a % 4] * kx**a * hat
     if a == 0:
-        return np.multiply(_I_POWERS[b % 4] * ky**b, hat, out=out)
-    with grid.scratch as s:
-        m = np.multiply(kx**a, ky**b, out=s.multiplier())
-        # i^(a+b) kx^a ky^b is real for even orders and complex for odd ones
-        m = np.multiply(_I_POWERS[(a + b) % 4], m, out=out if (a + b) % 2 else m)
-        return np.multiply(m, hat, out=out)
+        return _I_POWERS[b % 4] * ky**b * hat
+    return _I_POWERS[(a + b) % 4] * (kx**a * ky**b) * hat
 
 
-def derivative_values(grid, hat, a, b, out=None):
-    """d_x^a d_y^b f on the grid, into ``out`` or a new plane: the
-    coefficients are formed in the grid's scratch, then one inverse
-    transform."""
-    with grid.scratch as s:
-        return to_physical(grid, derivative_hat(grid, hat, a, b, s.coeffs()), out)
+def derivative_values(grid, hat, a, b):
+    """d_x^a d_y^b f on the grid: one inverse transform."""
+    return to_physical(grid, derivative_hat(grid, hat, a, b))
 
 
-def inverse_laplacian_hat(grid, hat, out=None):
+def inverse_laplacian_hat(grid, hat):
     """Coefficients of the mean-zero g with Laplace(g) = f - mean(f)."""
-    return np.multiply(grid.neg_inv_k2, hat, out=out)
+    return grid.neg_inv_k2 * hat
 
 
-def velocity_hat(grid, omega_hat, out=(None, None)):
-    """Coefficients of u = grad^perp Laplace^{-1} omega, as (u1, u2), into
-    the pair ``out`` or new arrays.  An omega whose mean exceeds MEAN_TOL
-    times its rms raises SolvabilityError (see :func:`invert_laplacian`)."""
+def velocity_hat(grid, omega_hat):
+    """Coefficients of u = grad^perp Laplace^{-1} omega, as (u1, u2).  An
+    omega whose mean exceeds MEAN_TOL times its rms raises SolvabilityError
+    (see :func:`invert_laplacian`)."""
     _require_mean_zero(grid, omega_hat, MEAN_TOL)
-    with grid.scratch as s:
-        psi = inverse_laplacian_hat(grid, omega_hat, s.coeffs())
-        return tuple(_perp_hat(grid, psi, a, o) for a, o in enumerate(out))
+    psi = inverse_laplacian_hat(grid, omega_hat)
+    return _perp_hat(grid, psi, 0), _perp_hat(grid, psi, 1)
 
 
-def _perp_hat(grid, psi_hat, a, out=None):
+def _perp_hat(grid, psi_hat, a):
     """Coefficients of component a of grad^perp psi = (-d_y psi, d_x psi)."""
-    u = derivative_hat(grid, psi_hat, a, 1 - a, out)
+    u = derivative_hat(grid, psi_hat, a, 1 - a)
     return u if a else np.negative(u, out=u)
 
 
@@ -371,18 +305,15 @@ def gradient_hat(grid, hat):
     return derivative_hat(grid, hat, 1, 0), derivative_hat(grid, hat, 0, 1)
 
 
-def gradient_values(grid, hat, out=(None, None)):
-    """(d_x f, d_y f) on the grid, into the pair ``out`` or new planes: two
-    inverse transforms."""
-    return tuple(derivative_values(grid, hat, a, 1 - a, o) for a, o in zip((1, 0), out))
+def gradient_values(grid, hat):
+    """(d_x f, d_y f) on the grid: two inverse transforms."""
+    return derivative_values(grid, hat, 1, 0), derivative_values(grid, hat, 0, 1)
 
 
-def derivative_planes(grid, hat, j, out=None):
+def derivative_planes(grid, hat, j):
     """The order-j derivatives d^alpha f on the grid, alpha = (j, 0), (j-1, 1),
-    ..., (0, j), into the first j + 1 planes of ``out`` or new planes: one
-    inverse transform each."""
-    out = [None] * (j + 1) if out is None else out
-    return [derivative_values(grid, hat, a, j - a, o) for a, o in zip(range(j, -1, -1), out)]
+    ..., (0, j): one inverse transform each."""
+    return [derivative_values(grid, hat, a, j - a) for a in range(j, -1, -1)]
 
 
 def bracket_hat(grid, f_hat, g_hat):
@@ -479,12 +410,9 @@ def biot_savart_coeffs(grid, omega_hat):
     (no transform), so omega_hat must not change while they are in use."""
 
     def component_hat(a):
-        with grid.scratch as s:
-            return _perp_hat(grid, inverse_laplacian_hat(grid, omega_hat, s.coeffs()), a)
+        return _perp_hat(grid, inverse_laplacian_hat(grid, omega_hat), a)
 
-    with grid.scratch as s:
-        u1, u2 = (to_physical(grid, h)
-                  for h in velocity_hat(grid, omega_hat, (s.coeffs(), s.coeffs())))
+    u1, u2 = (to_physical(grid, h) for h in velocity_hat(grid, omega_hat))
     return VectorField(ScalarField(grid, u1, lambda: component_hat(0)),
                        ScalarField(grid, u2, lambda: component_hat(1)))
 
@@ -533,16 +461,13 @@ def derivative_orders(fields, k, reduce):
     (ScalarFields on one grid).  Order 0 is the fields' own samples; every
     other plane is one inverse transform of :func:`derivative_hat`.  Each
     order is reduced before the next is built, so only one order's planes
-    are held at a time, in the grid's scratch: ``reduce`` must not return
-    them.
+    are held at a time.
     """
     grid = same_grid(*fields)
     out = [reduce([tuple(f.values for f in fields)])]
     for j in range(1, k + 1):
-        with grid.scratch as s:
-            planes = [derivative_planes(grid, f.hat, j, [s.plane() for _ in range(j + 1)])
-                      for f in fields]
-            out.append(reduce(list(zip(*planes))))
+        planes = [derivative_planes(grid, f.hat, j) for f in fields]
+        out.append(reduce(list(zip(*planes))))
     return out
 
 

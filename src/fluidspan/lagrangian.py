@@ -444,13 +444,11 @@ def record(series, state, ens=None):
         grad_omega = gradient_values(g, omega.hat)
     else:
         orders = [velocity_order([(u.u.values, u.v.values)])]
-        with g.scratch as s:
-            psi = inverse_laplacian_hat(g, omega.hat, s.coeffs())
-            planes = [s.plane() for _ in range(4)]
-            for j in (2, 3):  # u's orders 1 and 2
-                psi_planes = derivative_planes(g, psi, j, planes)
-                orders.append(velocity_order(_perp_planes(psi_planes)))
-            grad_omega = _grad_laplacian(psi_planes)
+        psi = inverse_laplacian_hat(g, omega.hat)
+        for j in (2, 3):  # u's orders 1 and 2
+            psi_planes = derivative_planes(g, psi, j)
+            orders.append(velocity_order(_perp_planes(psi_planes)))
+        grad_omega = _grad_laplacian(psi_planes)
     (u0, _, _), (u1, g_m, n1), (u2, _, n2) = orders
     g_n = sum(n1 + n2)
 
@@ -492,29 +490,27 @@ def record(series, state, ens=None):
 
     if kind in MHD_KINDS:
         b = state.magnetic_field()
-        with g.scratch as s:
-            planes = [s.plane() for _ in range(4)]
-            rho_planes = derivative_planes(g, rho.hat, 2, planes)
-            current = rho_planes[0] + rho_planes[2]
-            # rho's order-1 planes are (rho_x, rho_y) = (B2, -B1)
-            series.rho_w2p.append(_total([norms(rho.values), norms(b.v.values, b.u.values),
-                                          norms(*rho_planes)], 2))
-            b_orders = [lp_terms([(b.u.values, b.v.values)], p, area),
-                        lp_terms(_perp_planes(rho_planes), p, area)]
-            rho_planes = derivative_planes(g, rho.hat, 3, planes)
-            b_orders.append(lp_terms(_perp_planes(rho_planes), p, area))
-            grad_current = _grad_laplacian(rho_planes)
-            b_norm = _total(b_orders, 2)
-            series.b_w2p.append(b_norm)
-            if kind is ModelKind.MHD_ELSASSER:
-                xi_eta = state.coeffs
-            else:
-                j_hat = state.current_hat()
-                xi_eta = (omega.hat + j_hat, omega.hat - j_hat)
-            terms = [[norms(omega.values + sign * current),
-                      norms(*(w + sign * j for w, j in zip(grad_omega, grad_current))),
-                      norms(*derivative_planes(g, hat, 2, planes))]
-                     for sign, hat in zip((1.0, -1.0), xi_eta)]
+        rho_planes = derivative_planes(g, rho.hat, 2)
+        current = rho_planes[0] + rho_planes[2]
+        # rho's order-1 planes are (rho_x, rho_y) = (B2, -B1)
+        series.rho_w2p.append(_total([norms(rho.values), norms(b.v.values, b.u.values),
+                                      norms(*rho_planes)], 2))
+        b_orders = [lp_terms([(b.u.values, b.v.values)], p, area),
+                    lp_terms(_perp_planes(rho_planes), p, area)]
+        rho_planes = derivative_planes(g, rho.hat, 3)
+        b_orders.append(lp_terms(_perp_planes(rho_planes), p, area))
+        grad_current = _grad_laplacian(rho_planes)
+        b_norm = _total(b_orders, 2)
+        series.b_w2p.append(b_norm)
+        if kind is ModelKind.MHD_ELSASSER:
+            xi_eta = state.coeffs
+        else:
+            j_hat = state.current_hat()
+            xi_eta = (omega.hat + j_hat, omega.hat - j_hat)
+        terms = [[norms(omega.values + sign * current),
+                  norms(*(w + sign * j for w, j in zip(grad_omega, grad_current))),
+                  norms(*derivative_planes(g, hat, 2))]
+                 for sign, hat in zip((1.0, -1.0), xi_eta)]
         series.y.append(sum(_total(t, 1) for t in terms))
         series.z.append(sum(_total(t, 2) for t in terms))
         _accumulate(series, "q", series.u_w2p[-1] * b_norm)

@@ -170,34 +170,31 @@ class FluidState:
         return self._cached("vorticity",
                             lambda: ScalarField.from_hat(self.grid, self.vorticity_hat()))
 
-    def current_hat(self, out=None):
-        """Coefficients of the current J = Lap(rho) of the MHD models, into
-        ``out`` or a new array; None for the others."""
+    def current_hat(self):
+        """Coefficients of the current J = Lap(rho) of the MHD models; None
+        for the others."""
         if self.kind is ModelKind.MHD_ELSASSER:
             xi, eta = self.coeffs
-            j = np.subtract(xi, eta, out=out)
-            return np.multiply(0.5, j, out=j)
+            return 0.5 * (xi - eta)
         if self.kind is ModelKind.MHD_VORTICITY_CURRENT:
-            with self.grid.scratch as s:
-                neg_k2 = np.negative(self.grid.K2, out=s.multiplier())
-                return np.multiply(neg_k2, self.coeffs[1], out=out)
+            return -self.grid.K2 * self.coeffs[1]
         return None
 
-    def _density_hat(self, out):
+    def _density_hat(self):
         """rho's coefficients: the carried ones, or for Elsasser the inverse
-        Laplacian of J, with the mean mode set from mass_mean, into out."""
+        Laplacian of J with the mean mode set from mass_mean."""
         if self.kind is not ModelKind.MHD_ELSASSER:
             return self.coeffs[1]
         g = self.grid
-        hat = inverse_laplacian_hat(g, self.current_hat(out), out)
+        hat = inverse_laplacian_hat(g, self.current_hat())
         hat[0, 0] = self.mass_mean * g.nx * g.ny
         return hat
 
     def density(self):
         if self.kind is not ModelKind.MHD_ELSASSER:
             return self.rho
-        return self._cached("density", lambda: ScalarField.from_hat(
-            self.grid, self._density_hat(np.empty_like(self.coeffs[0]))))
+        return self._cached("density",
+                            lambda: ScalarField.from_hat(self.grid, self._density_hat()))
 
     def magnetic_field(self):
         """B = grad^perp rho of the MHD models, as samples built from the
@@ -207,12 +204,11 @@ class FluidState:
 
         def build():
             g = self.grid
-            with g.scratch as s:
-                rho = self._density_hat(s.coeffs())
-                b1 = derivative_hat(g, rho, 0, 1, s.coeffs())
-                b2 = derivative_hat(g, rho, 1, 0, s.coeffs())
-                return VectorField(ScalarField(g, to_physical(g, np.negative(b1, out=b1))),
-                                   ScalarField(g, to_physical(g, b2)))
+            rho = self._density_hat()
+            b1 = -derivative_hat(g, rho, 0, 1)
+            b2 = derivative_hat(g, rho, 1, 0)
+            return VectorField(ScalarField(g, to_physical(g, b1)),
+                               ScalarField(g, to_physical(g, b2)))
         return self._cached("magnetic_field", build)
 
     def velocity(self):
@@ -245,14 +241,23 @@ def elsasser_inverse(xi, eta):
 
 def _dot(a1, a2, f1, f2):
     """a1 f1 + a2 f2, formed over the planes f1 and f2 and returned in f1."""
-    np.multiply(a1, f1, out=f1)
-    np.multiply(a2, f2, out=f2)
-    return np.add(f1, f2, out=f1)
+    f1 *= a1
+    f2 *= a2
+    f1 += f2
+    return f1
 
 
-def _tendency(state, out=None):
-    """rfft2 coefficients of the model tendency, ordered like state.coeffs,
-    into the arrays ``out`` or new ones.
+def _neg_curl_div_hat(grid, t12, t22_minus_t11):
+    """Coefficients of -curl div T for a symmetric stress T sampled on the
+    grid: kx ky (T22 - T11)^ - (ky^2 - kx^2) T12^, two forward transforms."""
+    hat = np.fft.rfft2(t22_minus_t11)
+    hat *= grid.kxky
+    hat -= grid.ky2_minus_kx2 * np.fft.rfft2(t12)
+    return hat
+
+
+def _tendency(state):
+    """rfft2 coefficients of the model tendency, ordered like state.coeffs.
 
     The Biot-Savart models' vorticity tendencies are -curl div of their
     stresses (module docstring): products of u's and B's components, each
@@ -266,79 +271,66 @@ def _tendency(state, out=None):
 
     Boussinesq's rho and both IIE fields are transported in advective form,
     each field's quadratic terms summed on the grid before one masked
-    product.  The planes live in the grid's scratch.
+    product.  Sums are formed in place on the planes this function makes:
+    a fresh temporary per term costs time as well as memory.
     """
     g = state.grid
     kind = state.kind
-    if out is None:
-        out = [np.empty_like(c) for c in state.coeffs]
     u = state.velocity()
     u1, u2 = u.u.values, u.v.values
     if kind in MHD_KINDS:
         b = state.magnetic_field()
         b1, b2 = b.u.values, b.v.values
 
-    with g.scratch as s:
-        if kind is ModelKind.MHD_ELSASSER:
-            # xi = curl z+ is carried by z-, eta = curl z- by z+.
-            zm1, zm2 = np.subtract(u1, b1, out=s.plane()), np.subtract(u2, b2, out=s.plane())
-            zp1, zp2 = np.add(u1, b1, out=s.plane()), np.add(u2, b2, out=s.plane())
-            plane = s.plane()
-            p = product_hat(g, np.multiply(zm1, zp2, out=plane), s.coeffs())
-            r = product_hat(g, np.multiply(zm2, zp1, out=plane), s.coeffs())
-            np.multiply(zm2, zp2, out=zm2)
-            zm2 -= np.multiply(zm1, zp1, out=zm1)
-            mixed = np.fft.rfft2(zm2, out=s.coeffs())
-            mixed *= g.kxky
-            # -(d_x^2 P - d_y^2 R + d_x d_y S) = kx^2 P^ - ky^2 R^ + kx ky S^
-            kx2, ky2, tmp = g.KXd**2, g.KYd**2, s.coeffs()
-            for d, a, c in ((out[0], p, r), (out[1], r, p)):
-                np.multiply(kx2, a, out=d)
-                d -= np.multiply(ky2, c, out=tmp)
-                d += mixed
-            return tuple(out)
+    if kind is ModelKind.MHD_ELSASSER:
+        # xi = curl z+ is carried by z-, eta = curl z- by z+.
+        zm1, zm2, zp1, zp2 = u1 - b1, u2 - b2, u1 + b1, u2 + b2
+        p = product_hat(g, zm1 * zp2)
+        r = product_hat(g, zm2 * zp1)
+        zm2 *= zp2
+        zm1 *= zp1
+        zm2 -= zm1
+        mixed = np.fft.rfft2(zm2)
+        mixed *= g.kxky
+        # -(d_x^2 P - d_y^2 R + d_x d_y S) = kx^2 P^ - ky^2 R^ + kx ky S^
+        kx2, ky2 = g.KXd**2, g.KYd**2
+        pair = []
+        for a, c in ((p, r), (r, p)):
+            d = kx2 * a
+            d -= ky2 * c
+            d += mixed
+            pair.append(d)
+        return tuple(pair)
 
-        if kind is ModelKind.IIE:
-            # dE/drho = |u|^2 / 2; omega_t = {|u|^2 / 2, rho} - u . grad omega
-            transport = _dot(u1, u2, *gradient_values(g, state.coeffs[0], (s.plane(), s.plane())))
-            rho = state.coeffs[1]
-            energy = np.square(u1, out=s.plane())
-            energy += np.square(u2, out=s.plane())
-            energy *= 0.5
-            e_x, e_y = gradient_values(g, product_hat(g, energy, s.coeffs()),
-                                       (s.plane(), s.plane()))
-            rho_x, rho_y = gradient_values(g, rho, (s.plane(), s.plane()))
-            force = np.multiply(e_x, rho_y, out=e_x)  # e_x rho_y - e_y rho_x - transport
-            force -= np.multiply(e_y, rho_x, out=e_y)
-            force -= transport
-            domega = product_hat(g, force, out[0])
-        else:
-            # omega_t = -curl div(u (x) u), plus curl div(B (x) B) for MHD
-            t12 = np.multiply(u1, u2, out=s.plane())  # u1 u2 - b1 b2
-            diff = np.square(u2, out=s.plane())  # u2^2 - u1^2 - (b2^2 - b1^2)
-            tmp = s.plane()
-            diff -= np.square(u1, out=tmp)
-            if kind is ModelKind.MHD_VORTICITY_CURRENT:
-                t12 -= np.multiply(b1, b2, out=tmp)
-                diff -= np.square(b2, out=tmp)
-                diff += np.square(b1, out=tmp)
-            # -curl div T = kx ky diff^ - (ky^2 - kx^2) t12^
-            domega = np.fft.rfft2(diff, out=out[0])
-            domega *= g.kxky
-            t12_hat = np.fft.rfft2(t12, out=s.coeffs())
-            domega -= np.multiply(g.ky2_minus_kx2, t12_hat, out=t12_hat)
-            if kind is ModelKind.EULER:
-                return (domega,)
-            if kind is ModelKind.MHD_VORTICITY_CURRENT:
-                cross = np.multiply(u1, b2, out=t12)  # u1 b2 - u2 b1
-                cross -= np.multiply(u2, b1, out=diff)
-                return domega, np.negative(product_hat(g, cross, out[1]), out=out[1])
-            # Boussinesq: {dE/drho, rho} with dE/drho = -x2 reduces to the periodic d_x rho.
-            rho = state.coeffs[1]
-            domega += derivative_hat(g, rho, 1, 0, s.coeffs())
-            rho_x, rho_y = gradient_values(g, rho, (t12, diff))
-        drho = product_hat(g, _dot(u1, u2, rho_x, rho_y), out[1])  # -(u . grad rho)
-        return domega, np.negative(drho, out=drho)
+    if kind is ModelKind.IIE:
+        # dE/drho = |u|^2 / 2; omega_t = {|u|^2 / 2, rho} - u . grad omega
+        transport = _dot(u1, u2, *gradient_values(g, state.coeffs[0]))
+        energy = np.square(u1)
+        energy += np.square(u2)
+        energy *= 0.5
+        e_x, e_y = gradient_values(g, product_hat(g, energy))
+        rho_x, rho_y = gradient_values(g, state.coeffs[1])
+        e_x *= rho_y  # e_x rho_y - e_y rho_x - transport
+        e_y *= rho_x
+        e_x -= e_y
+        e_x -= transport
+        domega = product_hat(g, e_x)
+        advection = _dot(u1, u2, rho_x, rho_y)
+    elif kind is ModelKind.MHD_VORTICITY_CURRENT:
+        # omega_t = curl div(B (x) B - u (x) u)
+        domega = _neg_curl_div_hat(g, u1 * u2 - b1 * b2, u2**2 - u1**2 - b2**2 + b1**2)
+        advection = u1 * b2 - u2 * b1  # B = (-rho_y, rho_x)
+    else:
+        # omega_t = -curl div(u (x) u)
+        domega = _neg_curl_div_hat(g, u1 * u2, u2**2 - u1**2)
+        if kind is ModelKind.EULER:
+            return (domega,)
+        # Boussinesq: {dE/drho, rho} with dE/drho = -x2 reduces to the periodic d_x rho.
+        rho = state.coeffs[1]
+        domega += derivative_hat(g, rho, 1, 0)
+        advection = _dot(u1, u2, *gradient_values(g, rho))
+    drho = product_hat(g, advection)  # -(u . grad rho)
+    return domega, np.negative(drho, out=drho)
 
 
 def cfl_limit(state, cfl_number=0.5):
@@ -360,10 +352,9 @@ def step_detailed(state, dt, check_cfl=True):
     """One classical RK4 step; returns (new_state, the four stage velocities
     in stage order).
 
-    The stage tendencies and their weighted sum k1 + 2 k2 + 2 k3 + k4 live
-    in the grid's scratch and are summed in place, in the order of that
-    sum.  Each state the step hands on, the three stage states and the new
-    one, gets one new coefficient array per field.
+    The weighted sum k1 + 2 k2 + 2 k3 + k4 is formed in place on k1, in
+    the order of that sum.  Each state the step hands on, the three stage
+    states and the new one, gets one new coefficient array per field.
     """
     if check_cfl and dt > cfl_limit(state) * (1.0 + 1e-9):
         raise ParameterError(f"dt = {dt:.3e} exceeds the CFL limit {cfl_limit(state):.3e}")
@@ -371,35 +362,35 @@ def step_detailed(state, dt, check_cfl=True):
     names = FIELD_NAMES[state.kind]
     stages = []
 
-    def stage(st, idx, k):
-        _tendency(st, k)
+    def stage(st, idx):
+        k = _tendency(st)
         for name, d in zip(names, k):
             if not np.all(np.isfinite(d)):
                 raise InstabilityError(
                     f"RK4 stage {idx}: non-finite tendency in d{name} at t = {st.t}")
         stages.append(st.velocity())
+        return k
 
     def shifted(c, k):
         """y + c k, as new arrays."""
-        new = [np.multiply(c, ki) for ki in k]
-        return [np.add(yi, ni, out=ni) for yi, ni in zip(y, new)]
+        return [yi + c * ki for yi, ki in zip(y, k)]
 
-    def add_twice(total, k):
+    def add(c, k):
+        """total += c k, in place."""
         for a, d in zip(total, k):
-            a += np.multiply(2.0, d, out=d)
+            a += c * d
 
-    with state.grid.scratch as s:
-        total, k = [s.coeffs() for _ in y], [s.coeffs() for _ in y]
-        stage(state, 1, total)  # total = k1
-        stage(state.advanced(t + 0.5 * dt, shifted(0.5 * dt, total)), 2, k)
-        for idx, h in ((3, 0.5 * dt), (4, dt)):
-            # the next stage reads k before k joins the sum: total = k1 + 2 k2 (+ 2 k3)
-            coeffs = shifted(h, k)
-            add_twice(total, k)
-            stage(state.advanced(t + h, coeffs), idx, k)
-        for a, d in zip(total, k):
-            a += d
-        new = shifted(dt / 6.0, total)
+    total = stage(state, 1)  # k1
+    k = stage(state.advanced(t + 0.5 * dt, shifted(0.5 * dt, total)), 2)
+    for idx, h in ((3, 0.5 * dt), (4, dt)):
+        # the next stage reads k before k joins the sum: total = k1 + 2 k2 (+ 2 k3)
+        coeffs = shifted(h, k)
+        add(2.0, k)
+        del k  # not held through the next stage's tendency
+        k = stage(state.advanced(t + h, coeffs), idx)
+    for a, d in zip(total, k):
+        a += d
+    new = shifted(dt / 6.0, total)
     if not all(np.all(np.isfinite(c)) for c in new):
         raise InstabilityError(f"non-finite state after RK4 step at t = {t}")
     return state.advanced(t + dt, new), stages

@@ -6,7 +6,8 @@ import scipy.fft
 class FFTCounts(dict):
     """Calls of the real 2D transforms by the names rfft2 and irfft2;
     ``inputs`` keeps a copy of each call's input array, in call order (a
-    copy, because kernels reuse their grid's scratch planes)."""
+    copy, so that a caller's later in-place update of its array does not
+    change the record)."""
 
     def __init__(self):
         super().__init__(rfft2=0, irfft2=0)
