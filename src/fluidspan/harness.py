@@ -38,7 +38,6 @@ from .errors import (
 )
 from .fields import Grid, sobolev_norm, tail_enstrophy_fraction
 from .lagrangian import (
-    StageBuffers,
     StageVelocity,
     StretchingSeries,
     advect_flow_map,
@@ -263,16 +262,15 @@ def march(state, ens, t_end, dt_max, cfl=0.5):
 
     Each step takes dt = min(dt_max, CFL limit, t_end - t); the march ends
     once t_end - t is round-off.  A flow-map ensemble ``ens`` (None for
-    none) is advected along the step's four stage velocities, through one
-    StageBuffers owned here.  The layer entry points are looked up as this
-    module's globals on every call: benchmarks/spans.py wraps them here.
+    none) is advected along the step's four stage velocities.  The layer
+    entry points are looked up as this module's globals on every call:
+    benchmarks/spans.py wraps them here.
     """
-    buffers = None if ens is None else StageBuffers(state.grid)
     while state.t < t_end - 1e-14:
         dt = min(dt_max, cfl_limit(state, cfl), t_end - state.t)
         state, stages = step_detailed(state, dt, check_cfl=False)
         if ens is not None:
-            ens = advect_flow_map(ens, StageVelocity(stages, buffers), dt)
+            ens = advect_flow_map(ens, StageVelocity(stages), dt)
         del stages  # not held through the caller's work and the next step
         yield state, ens
 

@@ -14,8 +14,6 @@ read once per RK4 stage: StageVelocity interpolates the four stage
 velocities of a model step, analytic_velocity wraps closed forms.  A stage
 interpolates five planes, u1, u2, d_x u1, d_y u1 and d_x u2, and returns
 d_y u2 = -d_x u1, so the interpolated grad u is trace-free by construction.
-harness.march keeps the stage coefficients in one StageBuffers that every
-step's StageVelocity refills in place.
 
 On top of the ensemble this module tracks the stretching quantities
 
@@ -67,24 +65,18 @@ class PeriodicInterpolator:
     B-spline weights per axis on 16 wrapped grid nodes, as one sparse
     matrix with 16 entries per row, and one sparse product evaluates every
     plane; values come back stacked on axis 0.
-
-    ``inv_symbol`` (from :func:`inverse_spline_symbol`) and ``out`` (the
-    (nx * ny, planes) coefficient array to fill) let a caller that builds
-    interpolators on one grid again and again keep both; the interpolator
-    then reads ``out`` until the caller refills it.
     """
 
-    def __init__(self, hats, shape, inv_symbol=None, out=None):
+    def __init__(self, hats, shape):
         nx, ny = self.shape = shape
         self.dx, self.dy = TWO_PI / nx, TWO_PI / ny
-        if inv_symbol is None:
-            inv_symbol = inverse_spline_symbol(shape)
-        if out is None:
-            out = np.empty((nx * ny, len(hats)))
-        coeffs = out.reshape(nx, ny, len(hats))
+        sx = (4.0 + 2.0 * np.cos(TWO_PI * np.fft.fftfreq(nx))) / 6.0
+        sy = (4.0 + 2.0 * np.cos(TWO_PI * np.fft.rfftfreq(ny))) / 6.0
+        inv_symbol = 1.0 / (sx[:, None] * sy[None, :])
+        self._coeffs = np.empty((nx * ny, len(hats)))
+        coeffs = self._coeffs.reshape(nx, ny, len(hats))
         for i, h in enumerate(hats):
             coeffs[..., i] = np.fft.irfft2(h * inv_symbol, s=shape)
-        self._coeffs = out
 
     def __call__(self, points):
         """Evaluate at points of shape (..., 2); returns (planes, ...)."""
@@ -102,15 +94,6 @@ class PeriodicInterpolator:
         stencil = sparse.csr_array((weights, nodes, rows), shape=(n, nx * ny))
         out = stencil @ self._coeffs
         return out.T.reshape((out.shape[1],) + pts.shape[:-1])
-
-
-def inverse_spline_symbol(shape):
-    """1 / symbol of the cubic B-spline prefilter on the rfft2 half plane of
-    an nx x ny grid; the symbol is (4 + 2 cos(2 pi k / n)) / 6 per axis."""
-    nx, ny = shape
-    sx = (4.0 + 2.0 * np.cos(TWO_PI * np.fft.fftfreq(nx))) / 6.0
-    sy = (4.0 + 2.0 * np.cos(TWO_PI * np.fft.rfftfreq(ny))) / 6.0
-    return 1.0 / (sx[:, None] * sy[None, :])
 
 
 def _stencil(c, n):
@@ -133,47 +116,27 @@ def _split_velocity(vals):
     return vals[..., :2], vals[..., 2:].reshape(vals.shape[:-1] + (2, 2))
 
 
-class StageBuffers:
-    """Spline-coefficient storage a run owns for its stage interpolants.
-
-    Holds the grid's inverse prefilter symbol, computed once, and one
-    point-major (nx * ny, 5) coefficient array per RK4 stage.  Every
-    StageVelocity built on the buffers refills them in place, so a provider
-    stays valid until the next StageVelocity on the same buffers is built;
-    a run reads each step's provider only inside that step's
-    advect_flow_map.
-    """
-
-    def __init__(self, grid):
-        self.shape = (grid.nx, grid.ny)
-        self.inv_symbol = inverse_spline_symbol(self.shape)
-        self.coeffs = [np.empty((grid.nx * grid.ny, 5)) for _ in range(4)]
-
-
 class StageVelocity:
     """Provider built from the four RK4 stage velocities of a model step.
 
     ``stages`` are the stage velocity fields from models.step_detailed, in
-    stage order.  Each stage's interpolator is built here, into that
-    stage's array of ``buffers``, over the coefficients of five planes:
-    u1, u2, d_x u1, d_y u1 and d_x u2, each prefiltered (five inverse
-    transforms per stage).  ``provider(stage,
+    stage order.  Each stage's interpolator is built here over the
+    coefficients of five planes: u1, u2, d_x u1, d_y u1 and d_x u2, each
+    prefiltered (five inverse transforms per stage).  ``provider(stage,
     points)`` returns (u, grad u) of that stage at the points, with
     d_y u2 = -d_x u1: grad u is trace-free by construction, which drops
     the round-off divergence of the Biot-Savart velocities and IIE's
     solver-tolerance divergence.  Stage k of the flow-map step reads stage
-    k of the field step.  The provider reads ``buffers`` until the next
-    StageVelocity refills them.
+    k of the field step.
     """
 
-    def __init__(self, stages, buffers):
+    def __init__(self, stages):
         self._stages = []
-        for w, out in zip(stages, buffers.coeffs):
+        for w in stages:
             g = w.grid
             u1, u2 = w.u.hat, w.v.hat
             hats = (u1, u2, *gradient_hat(g, u1), derivative_hat(g, u2, 1, 0))
-            self._stages.append(
-                PeriodicInterpolator(hats, buffers.shape, buffers.inv_symbol, out))
+            self._stages.append(PeriodicInterpolator(hats, (g.nx, g.ny)))
 
     def __call__(self, stage, points):
         planes = self._stages[stage](points)

@@ -117,7 +117,7 @@ class FluidState:
     """
 
     def __init__(self, kind, t, omega=None, rho=None, xi=None, eta=None,
-                 mass_mean=1.0, elliptic_tol=1e-10, aux=None):
+                 mass_mean=1.0, elliptic_tol=1e-10):
         given = {"omega": omega, "rho": rho, "xi": xi, "eta": eta}
         names = FIELD_NAMES[kind]
         if any(given[name] is None for name in names):
@@ -128,7 +128,7 @@ class FluidState:
         self.coeffs = tuple(given[name].hat for name in names)
         self.mass_mean = mass_mean
         self.elliptic_tol = elliptic_tol
-        self.aux = {} if aux is None else aux
+        self.aux = {}
         self._cache = {name: given[name] for name in names}
 
     def advanced(self, t, coeffs):
@@ -252,7 +252,9 @@ def _neg_curl_div_hat(grid, t12, t22_minus_t11):
     grid: kx ky (T22 - T11)^ - (ky^2 - kx^2) T12^, two forward transforms."""
     hat = np.fft.rfft2(t22_minus_t11)
     hat *= grid.kxky
-    hat -= grid.ky2_minus_kx2 * np.fft.rfft2(t12)
+    s = np.fft.rfft2(t12)
+    s *= grid.ky2_minus_kx2
+    hat -= s
     return hat
 
 
@@ -372,8 +374,11 @@ def step_detailed(state, dt, check_cfl=True):
         return k
 
     def shifted(c, k):
-        """y + c k, as new arrays."""
-        return [yi + c * ki for yi, ki in zip(y, k)]
+        """y + c k, as new arrays summed in place."""
+        out = [c * ki for ki in k]
+        for o, yi in zip(out, y):
+            o += yi
+        return out
 
     def add(c, k):
         """total += c k, in place."""

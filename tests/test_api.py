@@ -9,6 +9,10 @@ defining module itself, read outside the definition's own body.  A local
 name that merely spells the same word (a nested ``rhs``, a variable
 ``step``) is not a reference; Python's own symbol tables tell the two
 apart.
+
+No function of the package takes an ``out`` parameter: planes are
+allocated by the function that makes them, under the one allocator policy
+set at import, not lent by callers.
 """
 
 import ast
@@ -119,3 +123,15 @@ def test_public_api_has_callers():
     # an allowlisted name that gains a caller, or is gone, leaves the list
     for module, name in ALLOWED:
         assert name in _public_defs(module) and (module, name) not in referenced
+
+
+def test_no_out_parameters():
+    found = []
+    for module in MODULES:
+        for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+                if any(p is not None and p.arg == "out" for p in params):
+                    found.append(f"{module}.{getattr(node, 'name', '<lambda>')}:{node.lineno}")
+    assert not found, "functions with an out parameter: " + ", ".join(found)

@@ -26,7 +26,7 @@ from fluidspan.harness import (
     sweep,
     validate_deltas,
 )
-from fluidspan.lagrangian import StageBuffers, StageVelocity, advect_flow_map, identity_ensemble
+from fluidspan.lagrangian import StageVelocity, advect_flow_map, identity_ensemble
 from fluidspan.models import (
     DELTA_NORMS,
     PROFILES,
@@ -284,17 +284,16 @@ def _snapshot(state, ens):
 
 def test_march_matches_reference_loop():
     # march is the hand-written RK4 loop, bit for bit: the dt rule, the end
-    # test, the unchecked step and the flow map on one reused StageBuffers.
+    # test, the unchecked step and the flow map along each step's stages.
     grid = Grid(32)
     t_end, dt_max = 0.1, 0.03  # the last step is cut to land on t_end
     state = initial_state(ModelKind.BOUSSINESQ, grid, delta=0.1)
     ens = identity_ensemble(8)
-    buffers = StageBuffers(grid)
     expected = []
     while state.t < t_end - 1e-14:
         dt = min(dt_max, cfl_limit(state, 0.5), t_end - state.t)
         state, stages = step_detailed(state, dt, check_cfl=False)
-        ens = advect_flow_map(ens, StageVelocity(stages, buffers), dt)
+        ens = advect_flow_map(ens, StageVelocity(stages), dt)
         expected.append(_snapshot(state, ens))
 
     got = [_snapshot(state, ens) for state, ens in march(
@@ -314,14 +313,14 @@ def test_march_lands_on_t_end(dt_max, steps):
     assert len(states) == steps and states[-1].t == 1.0
 
 
-def test_march_without_ensemble_builds_no_stage_buffers(monkeypatch):
-    def refuse(grid):
-        raise AssertionError("StageBuffers built")
+def test_march_without_ensemble_builds_no_stage_velocity(monkeypatch):
+    def refuse(stages):
+        raise AssertionError("StageVelocity built")
 
-    monkeypatch.setattr(harness, "StageBuffers", refuse)
+    monkeypatch.setattr(harness, "StageVelocity", refuse)
     state = initial_state(ModelKind.EULER, Grid(16))
     assert len(list(march(state, None, 0.05, 0.01))) == 5
-    with pytest.raises(AssertionError, match="StageBuffers built"):
+    with pytest.raises(AssertionError, match="StageVelocity built"):
         next(march(state, identity_ensemble(4), 0.05, 0.01))
 
 

@@ -16,7 +16,6 @@ from fluidspan.fields import (
 from fluidspan.lagrangian import (
     DuhamelHistory,
     PeriodicInterpolator,
-    StageBuffers,
     StageVelocity,
     StretchingSeries,
     _map_residual,
@@ -85,7 +84,7 @@ def test_area_preservation_for_solver_velocity():
     grid = Grid(64)
     omega = ScalarField.from_function(
         grid, lambda x, y: np.sin(x) * np.sin(y) + 0.7 * np.cos(2 * x + y))
-    prov = StageVelocity([biot_savart(omega)] * 4, StageBuffers(grid))
+    prov = StageVelocity([biot_savart(omega)] * 4)
     ens = identity_ensemble(32)
     dt = 0.02
     for _ in range(50):
@@ -168,11 +167,12 @@ def test_stage_velocity_matches_per_plane_reference():
         return ndimage.map_coordinates(coeffs, coords, order=3, mode="grid-wrap",
                                        prefilter=False).reshape(pts.shape[:-1])
 
-    provider = StageVelocity(stages, StageBuffers(grid))
+    provider = StageVelocity(stages)
     for k, w in enumerate(stages):
         u, grad_u = provider(k, pts)
         assert u.shape == (7, 9, 2) and grad_u.shape == (7, 9, 2, 2)
         assert np.may_share_memory(u, grad_u)  # views of one point-major product
+        assert np.array_equal(grad_u[..., 1, 1], -grad_u[..., 0, 0])  # trace-free
         planes = (w.u, w.v, spectral_derivative(w.u, (1, 0)), spectral_derivative(w.u, (0, 1)),
                   spectral_derivative(w.v, (1, 0)), spectral_derivative(w.v, (0, 1)))
         got = (u[..., 0], u[..., 1], grad_u[..., 0, 0], grad_u[..., 0, 1],
@@ -184,30 +184,22 @@ def test_stage_velocity_matches_per_plane_reference():
             assert np.max(np.abs(value - reference)) <= bound, (k, i)
 
 
-def test_refilled_stage_buffers_match_fresh_ones():
-    # A run refills one StageBuffers every step: two consecutive flow-map
-    # steps on shared buffers equal the same steps on fresh buffers, bit for
-    # bit.  A provider reads the buffers, so the next refill replaces its
-    # data; grad u is trace-free by construction.
+def test_stage_velocities_of_consecutive_steps_stand_alone():
+    # Each provider owns its coefficients: one built after another, from the
+    # next step's stages, leaves the first one's values unchanged, and each
+    # equals a provider built alone, bit for bit.
     grid = Grid(32)
     state, stages1 = step_detailed(initial_state(ModelKind.BOUSSINESQ, grid, delta=0.1), 0.02)
     _, stages2 = step_detailed(state, 0.02)
-    buffers = StageBuffers(grid)
-    shared, fresh = identity_ensemble(16), identity_ensemble(16)
-    for stages in (stages1, stages2):
-        shared = advect_flow_map(shared, StageVelocity(stages, buffers), 0.02)
-        fresh = advect_flow_map(fresh, StageVelocity(stages, StageBuffers(grid)), 0.02)
-    assert np.array_equal(shared.x, fresh.x)
-    assert np.array_equal(shared.jac, fresh.jac)
-
     pts = np.random.default_rng(9).uniform(0.0, 2 * np.pi, size=(50, 2))
-    first = StageVelocity(stages1, buffers)
-    second = StageVelocity(stages2, buffers)
+    first = StageVelocity(stages1)
+    second = StageVelocity(stages2)
     for k in range(4):
-        u, grad_u = first(k, pts)
-        u2, grad_u2 = second(k, pts)
-        assert np.array_equal(u, u2) and np.array_equal(grad_u, grad_u2)
-        assert np.array_equal(grad_u[:, 1, 1], -grad_u[:, 0, 0])
+        for provider, stages in ((first, stages1), (second, stages2)):
+            u, grad_u = provider(k, pts)
+            u_alone, grad_u_alone = StageVelocity(stages)(k, pts)
+            assert np.array_equal(u, u_alone) and np.array_equal(grad_u, grad_u_alone)
+        assert not np.array_equal(first(k, pts)[0], second(k, pts)[0])
 
 
 @pytest.mark.parametrize("kind, forward", [(ModelKind.BOUSSINESQ, 0), (ModelKind.IIE, 8)],
@@ -233,7 +225,7 @@ def test_stage_velocity_transform_count(monkeypatch, fft_counts, kind, forward):
 
     counted(ndimage, "spline_filter")
     counted(ndimage, "map_coordinates")
-    advect_flow_map(identity_ensemble(8), StageVelocity(stages, StageBuffers(grid)), 0.02)
+    advect_flow_map(identity_ensemble(8), StageVelocity(stages), 0.02)
     counts.update(fft_counts)
     assert counts == {"rfft2": forward, "irfft2": 20, "spline_filter": 0, "map_coordinates": 0}
 
@@ -244,7 +236,7 @@ def test_label_grid_matches_spline_filter_reference():
     grid = Grid(32)
     omega = ScalarField.from_function(
         grid, lambda x, y: np.sin(x) * np.sin(y) + 0.7 * np.cos(2 * x + y))
-    prov = StageVelocity([biot_savart(omega)] * 4, StageBuffers(grid))
+    prov = StageVelocity([biot_savart(omega)] * 4)
     ens = identity_ensemble(32)
     for _ in range(10):
         ens = advect_flow_map(ens, prov, 0.05)
@@ -494,7 +486,7 @@ def test_duhamel_pure_transport_oracle():
     dt = 0.02
     for _ in range(25):
         new_state, stages = step_detailed(state, dt)
-        ens = advect_flow_map(ens, StageVelocity(stages, StageBuffers(grid)), dt)
+        ens = advect_flow_map(ens, StageVelocity(stages), dt)
         state = new_state
         hist.update(state, ens)
     rec = duhamel_vorticity(ens, hist, grid)
@@ -577,7 +569,7 @@ def test_transport_lemma_along_run():
     dt = 0.02
     for _ in range(25):
         state, stages = step_detailed(state, dt)
-        ens = advect_flow_map(ens, StageVelocity(stages, StageBuffers(grid)), dt)
+        ens = advect_flow_map(ens, StageVelocity(stages), dt)
     report = check_transport_lemma(ens, rho0, p=4)
     for entry in report.values():
         assert entry["margin"] >= -1e-6 * max(entry["rhs"], 1.0)
@@ -608,7 +600,7 @@ def test_flow_map_is_fourth_order_with_stage_velocities():
         ens = identity_ensemble(16)
         for _ in range(round(t_end / dt)):
             state, stages = step_detailed(state, dt, check_cfl=False)
-            ens = advect_flow_map(ens, StageVelocity(stages, StageBuffers(grid)), dt)
+            ens = advect_flow_map(ens, StageVelocity(stages), dt)
         return ens
 
     ref = flow_map(1 / 256)

@@ -488,16 +488,17 @@ def test_record_transform_count(kind, fft_counts):
 # tendencies, their RK4 sum, the stage states' coefficients and what they
 # hold beyond their velocity (rho's coefficients, B's samples, Elsasser's xi
 # and eta, IIE's rho samples), and the temporaries of the tendencies and the
-# elliptic solve.  Measured 6.20, 7.23, 9.25, 15.44 and 23.69 (Euler,
-# Boussinesq, MHD, Elsasser, IIE).  Each bound sits at or below the 8.29,
-# 11.90, 12.82, 16.91 and 28.58 planes the step took with its temporaries
-# on a per-grid workspace kept between steps, transient and kept together.
-# A stage tendency still held while the next one is formed adds one
-# coefficient plane per field, and fails Euler, MHD and Elsasser.
+# elliptic solve.  Measured 5.18, 6.22, 8.23, 15.44 and 23.69 (Euler,
+# Boussinesq, MHD, Elsasser, IIE).  Forming the stress term
+# (ky^2 - kx^2) T12^ as a fresh product rather than in place on the
+# transform adds one plane to Euler, Boussinesq and MHD (6.20, 7.23 and
+# 9.25), which fail.  A stage tendency still held while the next one is
+# formed adds one coefficient plane per field, and fails every model but
+# IIE.
 STEP_TRANSIENT_PLANES = {
-    ModelKind.EULER: 7,
-    ModelKind.BOUSSINESQ: 10,
-    ModelKind.MHD_VORTICITY_CURRENT: 11,
+    ModelKind.EULER: 6,
+    ModelKind.BOUSSINESQ: 7,
+    ModelKind.MHD_VORTICITY_CURRENT: 9,
     ModelKind.MHD_ELSASSER: 17,
     ModelKind.IIE: 26,
 }
