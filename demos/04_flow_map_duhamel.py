@@ -52,6 +52,8 @@ rel = (lp_norm(rec.values - state.omega.values, 2, grid.cell_area)
        / lp_norm(state.omega.values, 2, grid.cell_area))
 print(f"\nBoussinesq delta = 0.1, t = 1:")
 print(f"  particle-side vorticity vs spectral solver: relative L2 {rel:.2e}")
-print(f"  M = {series.M()[-1]:.4f}, measured stretching {series.m_measured[-1]:.4f}")
-print(f"  N = {series.N()[-1]:.4f}, Y = {series.y[-1]:.4f}, Z = {series.z[-1]:.4f}")
-print(f"  max |det grad X - 1| = {series.detj_err[-1]:.1e}")
+M, M_measured, N, Y, Z, detJ_err = (series.column(name)[-1] for name in
+                                    ("M", "M_measured", "N", "Y", "Z", "detJ_err"))
+print(f"  M = {M:.4f}, measured stretching {M_measured:.4f}")
+print(f"  N = {N:.4f}, Y = {Y:.4f}, Z = {Z:.4f}")
+print(f"  max |det grad X - 1| = {detJ_err:.1e}")

@@ -248,9 +248,8 @@ def criterion_flow_map():
             record(series, state, ens2)
     except ChordArcError:
         chord_ok = False
-    m_integral = float(series.M()[-1])
-    m_measured = series.m_measured[-1]
-    detj = series.detj_err[-1]
+    m_integral, m_measured, detj = (float(series.column(name)[-1])
+                                    for name in ("M", "M_measured", "detJ_err"))
     values["det_jacobian_error"] = detj
     values["m_measured"] = m_measured
     values["m_integral"] = m_integral

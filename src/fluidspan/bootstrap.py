@@ -97,7 +97,6 @@ class LifespanBound:
 
     c0: float
     log_delta0: float
-    provenance: str
     a: float
     b: float
     c: float
@@ -130,9 +129,8 @@ def closure_lifespan(spec):
         raise ConfigError("delta0 = C0 exp(-C1 e^{2 C2}) is out of range even in log "
                           "space: C0 underflows or C1 e^{2 C2} overflows")
     log_delta0 = math.fsum((math.log(c0), -spec.c1 * math.exp(2.0 * spec.c2)))
-    return LifespanBound(c0=c0, log_delta0=log_delta0, provenance="generic_closure",
-                         a=1.0 / spec.c3, b=1.0 / spec.c2, c=1.0 / spec.c1,
-                         log_d=math.log(c0))
+    return LifespanBound(c0=c0, log_delta0=log_delta0, a=1.0 / spec.c3,
+                         b=1.0 / spec.c2, c=1.0 / spec.c1, log_d=math.log(c0))
 
 
 def boussinesq_closure_spec(lam):
@@ -147,9 +145,7 @@ def boussinesq_closure_spec(lam):
 
 def boussinesq_bound(lam):
     """Lifespan bound of the Boussinesq theorem from its growth constants."""
-    bound = closure_lifespan(boussinesq_closure_spec(lam))
-    bound.provenance = "boussinesq"
-    return bound
+    return closure_lifespan(boussinesq_closure_spec(lam))
 
 
 def iie_closure_spec(c):
@@ -168,9 +164,7 @@ def iie_closure_spec(c):
 
 
 def iie_lifespan(c):
-    bound = closure_lifespan(iie_closure_spec(c))
-    bound.provenance = "iie_lifespan"
-    return bound
+    return closure_lifespan(iie_closure_spec(c))
 
 
 @dataclass
@@ -256,8 +250,8 @@ def mhd_constants(c):
                           log_delta0=log_delta0, alpha_at_delta0=alpha0,
                           beta_at_delta0=beta0, gamma_at_delta0=gamma0,
                           log_f_at_delta0=log_f0)
-    bound = LifespanBound(c0=c4p, log_delta0=log_delta0, provenance="mhd",
-                          a=1.0 / c1, b=0.25, c=1.0 / c2, log_d=math.log(c4p))
+    bound = LifespanBound(c0=c4p, log_delta0=log_delta0, a=1.0 / c1, b=0.25,
+                          c=1.0 / c2, log_d=math.log(c4p))
     return consts, bound
 
 
@@ -528,7 +522,6 @@ class MonitorReport:
     model: str
     delta: float
     components: dict      # name -> first violation time or None
-    margins: dict         # name -> np.ndarray of delta-scaled quantities
     t_emp: float          # min violation time; inf when unconditional
     unconditional: bool
 
@@ -539,21 +532,24 @@ def bootstrap_monitor(series, model, delta, c_fit=1.0):
     Components by model: Boussinesq delta*Y <= 1 and delta*Z <= 1; IIE
     C delta M <= 1/2, C delta N <= 1/2, delta Q <= 1; MHD Q <= 1 and
     C delta t <= 1.  A delta of zero makes every component vacuous and
-    the report says so instead of inventing a window.
+    the report says so instead of inventing a window.  It reads only the
+    series' run.csv columns t, M, N, Q, Y and Z, so T_emp re-derives from
+    run.csv bit for bit.
     """
     model = ModelKind.parse(model) if isinstance(model, str) else model
-    t = series.times()
+    col = series.column
+    t = col("t")
     comps = {}
 
     if model is ModelKind.BOUSSINESQ:
-        comps["delta*Y"] = (delta * np.array(series.y), 1.0)
-        comps["delta*Z"] = (delta * np.array(series.z), 1.0)
+        comps["delta*Y"] = (delta * col("Y"), 1.0)
+        comps["delta*Z"] = (delta * col("Z"), 1.0)
     elif model is ModelKind.IIE:
-        comps["C*delta*M"] = (c_fit * delta * series.M(), 0.5)
-        comps["C*delta*N"] = (c_fit * delta * series.N(), 0.5)
-        comps["delta*Q"] = (delta * np.array(series.q), 1.0)
+        comps["C*delta*M"] = (c_fit * delta * col("M"), 0.5)
+        comps["C*delta*N"] = (c_fit * delta * col("N"), 0.5)
+        comps["delta*Q"] = (delta * col("Q"), 1.0)
     elif model in MHD_KINDS:
-        comps["Q"] = (np.array(series.q), 1.0)
+        comps["Q"] = (col("Q"), 1.0)
         comps["C*delta*t"] = (c_fit * delta * t, 1.0)
     elif model is ModelKind.EULER:
         comps = {}
@@ -562,17 +558,13 @@ def bootstrap_monitor(series, model, delta, c_fit=1.0):
 
     if delta == 0.0 or not comps:
         return MonitorReport(model=model.value, delta=delta, components={},
-                             margins={}, t_emp=math.inf, unconditional=True)
+                             t_emp=math.inf, unconditional=True)
 
-    violations = {}
-    margins = {}
-    for name, (vals, cap) in comps.items():
-        margins[name] = vals
-        violations[name] = _first_crossing(t, cap - vals)
+    violations = {name: _first_crossing(t, cap - vals) for name, (vals, cap) in comps.items()}
     finite = [v for v in violations.values() if v is not None]
     t_emp = min(finite) if finite else math.inf
     return MonitorReport(model=model.value, delta=delta, components=violations,
-                         margins=margins, t_emp=t_emp, unconditional=False)
+                         t_emp=t_emp, unconditional=False)
 
 
 def calibrate_c_fit(series, model):
@@ -584,22 +576,20 @@ def calibrate_c_fit(series, model):
     artifact, not a constant asserted by any proof.
     """
     model = ModelKind.parse(model) if isinstance(model, str) else model
-    g_m = np.array(series.grad_u_inf)
-    g_n = np.array(series.grad_u_w1p)
-    m_arr = series.M()
-    om_inf = np.array(series.omega_inf)
+    col = series.column
+    g_m, g_n = col("grad_u_inf"), col("grad_u_w1p")
+    m_arr, om_inf = col("M"), col("omega_inf")
     ratios = [np.max(g_n / (1.0 + m_arr)), np.max(om_inf)]
 
     if model is ModelKind.IIE:
         ratios.append(np.max(g_m / (2.0 * np.maximum(om_inf, 1e-30)
                                     * (1.0 + np.log(2.0 + g_n)))))
     elif model in MHD_KINDS:
-        y_arr = np.array(series.y)
-        q_arr = np.array(series.q)
+        y_arr, q_arr = col("Y"), col("Q")
         ratios.append(np.max(g_m / ((1.0 + np.log1p(y_arr)) * (1.0 + q_arr))))
         ratios.append(np.max(y_arr / (1.0 + 2.0 * m_arr + m_arr * q_arr)))
-        z_arr = np.array(series.z)
-        iy = np.concatenate([[0.0], np.cumsum(0.5 * np.diff(series.times())
+        z_arr = col("Z")
+        iy = np.concatenate([[0.0], np.cumsum(0.5 * np.diff(col("t"))
                                               * (y_arr[1:] + y_arr[:-1]))])
         ratios.append(np.max(np.log(np.maximum(z_arr, 1.0)) / (1.0 + iy)))
     else:  # Boussinesq (and Euler as its delta = 0 twin)

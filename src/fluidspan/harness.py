@@ -14,6 +14,7 @@ calibrated theory bounds.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import hashlib
 import json
 import math
@@ -41,7 +42,6 @@ from .lagrangian import (
     StageVelocity,
     StretchingSeries,
     advect_flow_map,
-    exp_or_inf,
     identity_ensemble,
     record,
 )
@@ -59,6 +59,9 @@ from .models import (
 RUN_CSV_HEADER = ("t,M,M_measured,N,Q,Y,Z,omega_inf,omega_w1p,rho_w2p,"
                   "u_inf,u_w2p,B_w2p,E_kinetic,E_model,cross_helicity,mass,"
                   "momentum_x,momentum_y,detJ_err,tail_enstrophy")
+# The run.csv columns that models.conserved_quantities fills.
+CONSERVED_COLUMNS = ("E_kinetic", "E_model", "cross_helicity", "mass",
+                     "momentum_x", "momentum_y")
 
 # Calibration artifacts: bootstrap.calibrate_c_fit on each model's delta = 0
 # run of the default profile (128^2, t_end = 2, p = 4), rounded to 6
@@ -215,7 +218,6 @@ class RunResult:
     series: StretchingSeries
     monitor: object
     termination: str
-    rows: list = field(default_factory=list)
     t_resolution: float | None = None
     kato_sup: float = 0.0
     c_fit: float = 0.0
@@ -223,37 +225,13 @@ class RunResult:
     solver: dict | None = None  # run_meta.json's elliptic summary (IIE only)
 
     @property
+    def rows(self):
+        """The run.csv rows written, as the series' row dicts."""
+        return self.series.rows
+
+    @property
     def final_time(self):
-        return self.series.t[-1] if self.series.t else 0.0
-
-
-def _diagnostics_row(state, series, config):
-    cons = conserved_quantities(state, p=config.p)
-    i = len(series.t) - 1
-    omega = state.vorticity()
-    return {
-        "t": series.t[i],
-        "M": exp_or_inf(series.log_m[i]),
-        "M_measured": series.m_measured[i] if config.track_particles else None,
-        "N": exp_or_inf(series.log_n[i]),
-        "Q": series.q[i],
-        "Y": series.y[i],
-        "Z": series.z[i],
-        "omega_inf": series.omega_inf[i],
-        "omega_w1p": series.omega_w1p[i],
-        "rho_w2p": series.rho_w2p[i],
-        "u_inf": series.u_inf[i],
-        "u_w2p": series.u_w2p[i],
-        "B_w2p": series.b_w2p[i],
-        "E_kinetic": cons["E_kinetic"],
-        "E_model": cons["E_model"],
-        "cross_helicity": cons["cross_helicity"],
-        "mass": cons["mass"],
-        "momentum_x": cons["momentum_x"],
-        "momentum_y": cons["momentum_y"],
-        "detJ_err": series.detj_err[i] if config.track_particles else None,
-        "tail_enstrophy": tail_enstrophy_fraction(omega),
-    }
+        return self.rows[-1]["t"] if self.rows else 0.0
 
 
 def march(state, ens, t_end, dt_max, cfl=0.5):
@@ -289,16 +267,16 @@ def run(config, csv_stream=None):
     grid = Grid(config.nx, config.ny)
     ens = identity_ensemble(config.particle_m) if config.track_particles else None
     series = StretchingSeries(kind=kind, p=config.p)
-    rows = []
     termination = "completed"
     status = 0
     initial_checks = {}
     reports = []  # every elliptic solve's report, through the states' shared aux
 
     def emit(state):
-        record(series, state, ens)
-        row = _diagnostics_row(state, series, config)
-        rows.append(row)
+        row = record(series, state, ens)
+        cons = conserved_quantities(state, p=config.p)
+        row.update((k, cons[k]) for k in CONSERVED_COLUMNS)
+        row["tail_enstrophy"] = tail_enstrophy_fraction(state.vorticity())
         if csv_stream is not None:
             csv_stream.write(",".join(_fmt(row[k]) for k in RUN_CSV_HEADER.split(",")))
             csv_stream.write("\n")
@@ -343,11 +321,11 @@ def run(config, csv_stream=None):
     c_fit = config.c_fit if config.c_fit > 0 else FROZEN_C_FIT[kind]
     monitor = bootstrap_monitor(series, kind, config.delta, c_fit=c_fit)
     t_res = None
-    for row in rows:
+    for row in series.rows:
         if row["tail_enstrophy"] is not None and row["tail_enstrophy"] > TAIL_ENSTROPHY_LOSS:
             t_res = row["t"]
             break
-    kato_sup = max(series.kato) if series.kato else 0.0
+    kato_sup = max((row["kato"] for row in series.rows), default=0.0)
     solver = None
     if kind is ModelKind.IIE:
         solver = {"method": METHOD, "solves": len(reports),
@@ -355,7 +333,7 @@ def run(config, csv_stream=None):
                   "iterations_max": max((r.iterations for r in reports), default=0),
                   "residual_max": max((r.residual for r in reports), default=0.0)}
     return RunResult(status=status, config=config, series=series, monitor=monitor,
-                     termination=termination, rows=rows, t_resolution=t_res,
+                     termination=termination, t_resolution=t_res,
                      kato_sup=kato_sup, c_fit=c_fit, initial_checks=initial_checks,
                      solver=solver)
 
@@ -465,22 +443,14 @@ def sweep(config, deltas, out_dir=None):
     rows = []
     workers = min(threads, len(jobs))
     failure = None
-    if workers == 1:
-        for job in jobs:
-            try:
-                rows.append(_sweep_worker(job))
-            except Exception as exc:  # preserve partial results
-                failure = exc
-                break
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_sweep_worker, job) for job in jobs]
-            for fut in futures:
-                try:
-                    rows.append(fut.result())
-                except Exception as exc:
-                    failure = exc
-                    break
+    pool = (concurrent.futures.ProcessPoolExecutor(max_workers=workers) if workers > 1
+            else contextlib.nullcontext())
+    with pool:
+        try:
+            for row in (map if workers == 1 else pool.map)(_sweep_worker, jobs):
+                rows.append(row)
+        except Exception as exc:  # preserve partial results
+            failure = exc
 
     path = os.path.join(out_dir, "sweep.csv")
     with open(path, "w") as fh:

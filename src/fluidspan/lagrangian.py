@@ -293,43 +293,28 @@ def back_to_label(ens, grid):
 
 @dataclass
 class StretchingSeries:
-    """Time series of M, N, the measured stretching, and memory integrals.
+    """Diagnostics rows of a run: M, N, the measured stretching, the memory
+    integrals Q / Y / Z and the norms behind them.
 
-    M and N accumulate trapezoidally in log space from the instantaneous
-    integrands; Q, Y, Z follow each model's definition with Mdot, Ndot
-    taken from the analytic relations Mdot = ||grad u||_inf M and
-    Ndot = ||grad u||_{1,p} N (no finite differencing).
+    ``rows`` holds one dict per row, keyed by run.csv's column names, plus
+    lowercase keys that run.csv does not carry: log M and log N,
+    ||grad u||_inf and ||grad u||_{1,p}, the Kato quotient and the memory
+    integrands, read by the next row's trapezoids, the calibration and the
+    run's Kato supremum.  M and N accumulate trapezoidally in log
+    space from the instantaneous integrands; Q, Y, Z follow each model's
+    definition with Mdot, Ndot taken from the analytic relations
+    Mdot = ||grad u||_inf M and Ndot = ||grad u||_{1,p} N (no finite
+    differencing).
     """
 
     kind: ModelKind
     p: float = 4.0
-    t: list = field(default_factory=list)
-    log_m: list = field(default_factory=list)
-    log_n: list = field(default_factory=list)
-    m_measured: list = field(default_factory=list)
-    q: list = field(default_factory=list)
-    y: list = field(default_factory=list)
-    z: list = field(default_factory=list)
-    omega_inf: list = field(default_factory=list)
-    omega_w1p: list = field(default_factory=list)
-    rho_w2p: list = field(default_factory=list)
-    u_inf: list = field(default_factory=list)
-    u_w2p: list = field(default_factory=list)
-    b_w2p: list = field(default_factory=list)
-    grad_u_inf: list = field(default_factory=list)
-    grad_u_w1p: list = field(default_factory=list)
-    detj_err: list = field(default_factory=list)
-    kato: list = field(default_factory=list)
-    _integrands: dict = field(default_factory=dict)
+    rows: list = field(default_factory=list)
 
-    def M(self):
-        return np.exp(np.array(self.log_m))
-
-    def N(self):
-        return np.exp(np.array(self.log_n))
-
-    def times(self):
-        return np.array(self.t)
+    def column(self, name):
+        """One column as a float array; a quantity the model does not carry
+        (None) reads as nan."""
+        return np.array([row[name] for row in self.rows], dtype=float)
 
 
 def exp_or_inf(x):
@@ -360,7 +345,7 @@ def _grad_laplacian(planes):
 
 
 def record(series, state, ens=None):
-    """Append one diagnostics row at the state's time.
+    """Append one diagnostics row at the state's time and return it.
 
     Every norm of the row is read off derivative planes of the potentials,
     each plane one inverse transform built once.  For the Biot-Savart
@@ -383,8 +368,9 @@ def record(series, state, ens=None):
     tendencies are dealiased, so the fields carry no Nyquist content and
     the two agree to round-off.
 
-    The stretching columns are appended and chord-arc checked before the
-    memory columns are.
+    The row is chord-arc checked before its memory columns are computed,
+    and appended only once it is complete: a ChordArcError leaves the
+    series as it was.
     """
     if ens is not None and abs(ens.t - state.t) > 1e-12 * max(1.0, abs(state.t)):
         raise InstabilityError(
@@ -414,41 +400,34 @@ def record(series, state, ens=None):
         grad_omega = _grad_laplacian(psi_planes)
     (u0, _, _), (u1, g_m, n1), (u2, _, n2) = orders
     g_n = sum(n1 + n2)
+    prev = series.rows[-1] if series.rows else None
+    row = {"t": state.t, "grad_u_inf": g_m, "grad_u_w1p": g_n,
+           "M_measured": None, "detJ_err": None}
 
-    if series.t:
-        dt = state.t - series.t[-1]
-        log_m = series.log_m[-1] + 0.5 * dt * (series.grad_u_inf[-1] + g_m)
-        log_n = series.log_n[-1] + 0.5 * dt * (series.grad_u_w1p[-1] + g_n)
-    else:
-        log_m, log_n = 0.0, 0.0
+    def integrate(name, rate):
+        """row[name]: its trapezoid over the integrand row[rate] from the
+        previous row, 0 at the first row."""
+        row[name] = (0.0 if prev is None else
+                     prev[name] + 0.5 * (state.t - prev["t"]) * (prev[rate] + row[rate]))
 
+    integrate("log_m", "grad_u_inf")
+    integrate("log_n", "grad_u_w1p")
+    m_now = row["M"] = exp_or_inf(row["log_m"])
+    n_now = row["N"] = exp_or_inf(row["log_n"])
     if ens is not None:
-        fwd, inv, detj = jacobian_norms(ens)
-        measured = max(fwd, inv)
-    else:
-        measured, detj = 1.0, 0.0
+        fwd, inv, row["detJ_err"] = jacobian_norms(ens)
+        measured = row["M_measured"] = max(fwd, inv)
+        if measured > m_now * (1.0 + CHORD_ARC_TOL):
+            raise ChordArcError(
+                f"measured stretching {measured:.6f} exceeds M = {m_now:.6f} "
+                f"at t = {state.t}")
 
-    series.t.append(state.t)
-    series.grad_u_inf.append(g_m)
-    series.grad_u_w1p.append(g_n)
-    series.log_m.append(log_m)
-    series.log_n.append(log_n)
-    series.m_measured.append(measured)
-    series.detj_err.append(detj)
-
-    m_now, n_now = exp_or_inf(log_m), exp_or_inf(log_n)
-    if measured > m_now * (1.0 + CHORD_ARC_TOL):
-        raise ChordArcError(
-            f"measured stretching {measured:.6f} exceeds M = {m_now:.6f} "
-            f"at t = {state.t}")
-
-    omega_inf = omega.max_abs()
-    omega_w1p = sum(norms(omega.values, *grad_omega))
-    series.omega_inf.append(omega_inf)
-    series.omega_w1p.append(omega_w1p)
-    series.u_inf.append(u.max_abs())
-    series.u_w2p.append(sum(u0 + u1 + u2))
-    series.kato.append(kato_quotient(g_m, omega_inf, omega_w1p))
+    omega_inf = row["omega_inf"] = omega.max_abs()
+    omega_w1p = row["omega_w1p"] = sum(norms(omega.values, *grad_omega))
+    u_inf = row["u_inf"] = u.max_abs()
+    u_w2p = row["u_w2p"] = sum(u0 + u1 + u2)
+    row["kato"] = kato_quotient(g_m, omega_inf, omega_w1p)
+    row.update(rho_w2p=None, B_w2p=None, Q=None, Y=None, Z=None)
     rho = state.density()
 
     if kind in MHD_KINDS:
@@ -456,15 +435,14 @@ def record(series, state, ens=None):
         rho_planes = derivative_planes(g, rho.hat, 2)
         current = rho_planes[0] + rho_planes[2]
         # rho's order-1 planes are (rho_x, rho_y) = (B2, -B1)
-        series.rho_w2p.append(_total([norms(rho.values), norms(b.v.values, b.u.values),
-                                      norms(*rho_planes)], 2))
+        row["rho_w2p"] = _total([norms(rho.values), norms(b.v.values, b.u.values),
+                                 norms(*rho_planes)], 2)
         b_orders = [lp_terms([(b.u.values, b.v.values)], p, area),
                     lp_terms(_perp_planes(rho_planes), p, area)]
         rho_planes = derivative_planes(g, rho.hat, 3)
         b_orders.append(lp_terms(_perp_planes(rho_planes), p, area))
         grad_current = _grad_laplacian(rho_planes)
-        b_norm = _total(b_orders, 2)
-        series.b_w2p.append(b_norm)
+        b_norm = row["B_w2p"] = _total(b_orders, 2)
         if kind is ModelKind.MHD_ELSASSER:
             xi_eta = state.coeffs
         else:
@@ -474,39 +452,23 @@ def record(series, state, ens=None):
                   norms(*(w + sign * j for w, j in zip(grad_omega, grad_current))),
                   norms(*derivative_planes(g, hat, 2))]
                  for sign, hat in zip((1.0, -1.0), xi_eta)]
-        series.y.append(sum(_total(t, 1) for t in terms))
-        series.z.append(sum(_total(t, 2) for t in terms))
-        _accumulate(series, "q", series.u_w2p[-1] * b_norm)
+        row["Y"] = sum(_total(t, 1) for t in terms)
+        row["Z"] = sum(_total(t, 2) for t in terms)
+        row["q_dot"] = u_w2p * b_norm
+        integrate("Q", "q_dot")
     else:
-        series.rho_w2p.append(sobolev_norm(rho, 2, p) if rho is not None else np.nan)
-        series.b_w2p.append(np.nan)
+        if rho is not None:
+            row["rho_w2p"] = sobolev_norm(rho, 2, p)
         if kind is ModelKind.BOUSSINESQ:
-            _accumulate(series, "y", m_now + n_now)
-            _accumulate(series, "z", m_now)
-            series.q.append(np.nan)
+            row["y_dot"] = m_now + n_now
+            integrate("Y", "y_dot")
+            integrate("Z", "M")
         elif kind is ModelKind.IIE:
-            qdot = g_m * (m_now + n_now) * series.u_inf[-1] + g_m * g_n * m_now**2
-            _accumulate(series, "q", qdot)
-            series.y.append(np.nan)
-            series.z.append(np.nan)
-        else:  # Euler carries no memory terms
-            series.q.append(np.nan)
-            series.y.append(np.nan)
-            series.z.append(np.nan)
-    return series
-
-
-def _accumulate(series, name, integrand_now):
-    """Trapezoidal accumulation of one memory column."""
-    target = getattr(series, name)
-    if not target:
-        target.append(0.0)
-    else:
-        dt = series.t[-1] - series.t[-2]
-        prev = series._integrands[name]
-        target.append(target[-1] + 0.5 * dt * (prev + integrand_now))
-    series._integrands[name] = integrand_now
-
+            row["q_dot"] = g_m * (m_now + n_now) * u_inf + g_m * g_n * m_now**2
+            integrate("Q", "q_dot")
+        # Euler carries no memory terms
+    series.rows.append(row)
+    return row
 
 
 # ---------------------------------------------------------------------------

@@ -233,25 +233,20 @@ def test_saturated_mhd_holds():
 
 
 def _synthetic_series(kind, t, **cols):
+    """A series of rows at times t holding the given columns; M and N read 1,
+    the gradient norms 0 and omega_inf 1 unless given, Q, Y and Z none."""
     s = StretchingSeries(kind=kind)
-    s.t = list(t)
-    n = len(t)
-    zeros = [0.0] * n
-    s.log_m = cols.get("log_m", zeros[:])
-    s.log_n = cols.get("log_n", zeros[:])
-    s.q = cols.get("q", [np.nan] * n)
-    s.y = cols.get("y", [np.nan] * n)
-    s.z = cols.get("z", [np.nan] * n)
-    s.grad_u_inf = cols.get("grad_u_inf", zeros[:])
-    s.grad_u_w1p = cols.get("grad_u_w1p", zeros[:])
-    s.omega_inf = cols.get("omega_inf", [1.0] * n)
+    defaults = {"M": 1.0, "N": 1.0, "Q": None, "Y": None, "Z": None,
+                "grad_u_inf": 0.0, "grad_u_w1p": 0.0, "omega_inf": 1.0}
+    s.rows = [{**defaults, "t": ti, **{k: v[i] for k, v in cols.items()}}
+              for i, ti in enumerate(t)]
     return s
 
 
 def test_monitor_trivial_boussinesq_run():
     # zero velocity: Y = 2t, Z = t; delta Y hits 1 at t = 1/(2 delta)
     t = np.linspace(0.0, 10.0, 2001)
-    series = _synthetic_series(ModelKind.BOUSSINESQ, t, y=list(2 * t), z=list(t))
+    series = _synthetic_series(ModelKind.BOUSSINESQ, t, Y=list(2 * t), Z=list(t))
     rep = bootstrap_monitor(series, ModelKind.BOUSSINESQ, delta=0.2)
     assert rep.components["delta*Y"] == pytest.approx(2.5, abs=1e-6)
     assert rep.components["delta*Z"] == pytest.approx(5.0, abs=1e-6)
@@ -261,7 +256,7 @@ def test_monitor_trivial_boussinesq_run():
 def test_monitor_synthetic_crossing():
     t = np.linspace(0.0, 4.0, 401)
     q = 0.5 * t  # delta q crosses 1 at t = 2 for delta = 1
-    series = _synthetic_series(ModelKind.IIE, t, q=list(q))
+    series = _synthetic_series(ModelKind.IIE, t, Q=list(q))
     rep = bootstrap_monitor(series, ModelKind.IIE, delta=1.0, c_fit=1e-9)
     assert rep.components["delta*Q"] == pytest.approx(2.0, abs=1e-9)
     assert rep.t_emp == pytest.approx(2.0, abs=1e-9)
@@ -269,7 +264,7 @@ def test_monitor_synthetic_crossing():
 
 def test_monitor_unconditional_for_zero_delta():
     t = np.linspace(0.0, 1.0, 11)
-    series = _synthetic_series(ModelKind.IIE, t, q=[0.0] * 11)
+    series = _synthetic_series(ModelKind.IIE, t, Q=[0.0] * 11)
     rep = bootstrap_monitor(series, ModelKind.IIE, delta=0.0)
     assert rep.unconditional
     assert rep.t_emp == math.inf
@@ -294,10 +289,8 @@ def test_calibrate_c_fit_euler_like_series():
     series = _synthetic_series(
         ModelKind.BOUSSINESQ, t,
         grad_u_inf=[1.5] * 51, grad_u_w1p=[6.0] * 51,
-        omega_inf=[1.7] * 51,
+        omega_inf=[1.7] * 51, M=list(np.exp(1.5 * t)), N=list(np.exp(6.0 * t)),
     )
-    series.log_m = list(1.5 * t)
-    series.log_n = list(6.0 * t)
     c = calibrate_c_fit(series, ModelKind.BOUSSINESQ)
     # ratios: g_N / (1 + M) <= 3, omega_inf = 1.7, g_M / (1 + log(2 + g_N))
     assert c == pytest.approx(3.0, rel=1e-12)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluidspan.bootstrap import calibrate_c_fit
+from fluidspan.bootstrap import _first_crossing, calibrate_c_fit
 from fluidspan.errors import ConfigError
 from fluidspan import harness
 from fluidspan.fields import Grid
@@ -220,6 +220,83 @@ def test_instability_keeps_partial_rows(tmp_path):
         assert "nan" not in line.lower()
 
 
+def _csv_columns(path):
+    """run.csv as float columns; an empty field (a quantity the model does
+    not carry) reads as nan."""
+    header, *lines = path.read_text().splitlines()
+    rows = [[float(v) if v else math.nan for v in line.split(",")] for line in lines]
+    return dict(zip(header.split(","), np.array(rows).T))
+
+
+def _t_emp_from_files(out_dir):
+    """T_emp re-derived from run.csv's t, M, N, Q, Y and Z columns and
+    run_meta.json's delta and c_fit: each bootstrap-hypothesis component
+    of the model, crossed by linear interpolation between rows."""
+    meta = json.loads((out_dir / "run_meta.json").read_text())
+    col = _csv_columns(out_dir / "run.csv")
+    delta, c = meta["config"]["delta"], meta["c_fit"]
+    components = {
+        "iie": [(c * delta * col["M"], 0.5), (c * delta * col["N"], 0.5),
+                (delta * col["Q"], 1.0)],
+        "boussinesq": [(delta * col["Y"], 1.0), (delta * col["Z"], 1.0)],
+        "mhd": [(col["Q"], 1.0), (c * delta * col["t"], 1.0)],
+    }[meta["config"]["model"]]
+    crossings = [_first_crossing(col["t"], cap - vals) for vals, cap in components]
+    return min(x for x in crossings if x is not None), meta["monitor"]["t_emp"]
+
+
+@pytest.mark.parametrize("model, delta, t_end, delta_norm", [
+    ("iie", 0.1, 0.1, "inv_rho_minus_1_W2p"),
+    ("boussinesq", 2.0, 0.4, "rho_minus_1_W2p"),
+    ("mhd", 1.0, 0.3, "rho_minus_1_W3p"),
+])
+def test_t_emp_rederives_from_run_files(tmp_path, model, delta, t_end, delta_norm):
+    # The monitor reads the numbers run.csv holds, so T_emp follows from the
+    # files bit for bit.  On the IIE run numpy's exp and math.exp of log M and
+    # log N differ in the last bit on some rows, and T_emp with them.
+    cfg = small_config(model=model, delta=delta, t_end=t_end, dt_max=0.01,
+                       delta_norm=delta_norm, track_particles=False,
+                       output_dir=str(tmp_path))
+    assert run_to_directory(cfg).status == 0
+    rederived, recorded = _t_emp_from_files(tmp_path)
+    assert rederived == recorded
+
+
+def test_chord_arc_violation_ends_the_run_cleanly(tmp_path, monkeypatch):
+    # A chord-arc violation, forced on the third row by dropping the
+    # tolerance to -1/2 there, ends the run like every failure: a status and
+    # a termination, a complete run_meta.json, the exit code, and rows,
+    # run.csv and final_time that agree on where the run stopped.
+    from fluidspan import lagrangian
+    from fluidspan.cli import main
+
+    tol = lagrangian.CHORD_ARC_TOL
+
+    def forcing(series, state, ens=None):
+        monkeypatch.setattr(lagrangian, "CHORD_ARC_TOL", -0.5 if len(series.rows) == 2 else tol)
+        return lagrangian.record(series, state, ens)
+
+    cfg = small_config(t_end=0.1, output_dir=str(tmp_path / "ok"))
+    assert run_to_directory(cfg).status == 0
+    complete = json.loads((tmp_path / "ok" / "run_meta.json").read_text())
+
+    monkeypatch.setattr(harness, "record", forcing)
+    result = run_to_directory(cfg, out_dir=str(tmp_path / "forced"))
+    assert result.status == 3
+    assert result.termination.startswith("chord-arc violation: measured stretching")
+    meta = json.loads((tmp_path / "forced" / "run_meta.json").read_text())
+    assert set(meta) == set(complete) and set(meta["monitor"]) == set(complete["monitor"])
+    assert (meta["status"], meta["termination"]) == (3, result.termination)
+    lines = (tmp_path / "forced" / "run.csv").read_text().splitlines()
+    assert len(lines) - 1 == len(result.rows) == 2
+    assert result.final_time == result.rows[-1]["t"] == float(lines[-1].split(",")[0])
+
+    path = tmp_path / "run.cfg"
+    path.write_text("model = euler\nnx = 32\nny = 32\nt_end = 0.1\ndt_max = 0.02\n"
+                    "particle_m = 8\n")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "cli")]) == 3
+
+
 def test_validate_deltas():
     assert validate_deltas([1e-1, 1e-2, 1e-3]) == [1e-1, 1e-2, 1e-3]
     assert validate_deltas([0.0]) == [0.0]
@@ -276,6 +353,20 @@ def test_sweep_monotone_small(tmp_path):
     t0, t1 = rows[0]["T_emp"], rows[1]["T_emp"]
     assert t0 is not None and t1 is not None
     assert t0 <= t1
+
+
+def test_sweep_pool_matches_serial(tmp_path, monkeypatch):
+    # Two workers run the members in a process pool, one runs them in turn;
+    # both write the same sweep.csv.
+    cfg = small_config(model="boussinesq", nx=16, ny=16, t_end=0.1, track_particles=False)
+    tables = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("FLUIDSPAN_THREADS", threads)
+        out = tmp_path / threads
+        sweep(cfg, [2.0, 1.0], out_dir=str(out))
+        tables.append((out / "sweep.csv").read_bytes())
+    assert tables[0] == tables[1]
+    assert len(tables[0].splitlines()) == 3
 
 
 def _snapshot(state, ens):

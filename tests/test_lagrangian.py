@@ -13,6 +13,8 @@ from fluidspan.fields import (
     spectral_derivative,
     to_physical,
 )
+from fluidspan.errors import ChordArcError
+from fluidspan.harness import march
 from fluidspan.lagrangian import (
     DuhamelHistory,
     PeriodicInterpolator,
@@ -332,12 +334,11 @@ def test_stretching_series_zero_velocity():
         state = FluidState(ModelKind.BOUSSINESQ, t, omega=state.omega, rho=state.rho)
         ens = FlowEnsAt(ens, t)
         record(series, state, ens)
-    assert np.allclose(series.M(), 1.0)
-    assert np.allclose(series.N(), 1.0)
-    assert np.allclose(series.m_measured, 1.0)
+    for name in ("M", "N", "M_measured"):
+        assert np.allclose(series.column(name), 1.0)
     # Y = 2t, Z = t for the trivial run
-    assert series.y == pytest.approx([0.0, 1.0, 2.0])
-    assert series.z == pytest.approx([0.0, 0.5, 1.0])
+    assert series.column("Y") == pytest.approx([0.0, 1.0, 2.0])
+    assert series.column("Z") == pytest.approx([0.0, 0.5, 1.0])
 
 
 def FlowEnsAt(ens, t):
@@ -360,9 +361,33 @@ def test_stretching_shear_chord_arc():
         ens = advect_flow_map(ens, prov, dt)
         state = FluidState(ModelKind.EULER, ens.t, omega=omega)
         record(series, state, ens)
-    assert series.m_measured[-1] == pytest.approx(GOLDEN, abs=1e-6)
-    assert series.M()[-1] == pytest.approx(np.e, rel=1e-10)
-    assert series.m_measured[-1] <= series.M()[-1] * (1 + 1e-3)
+    last = series.rows[-1]
+    assert last["M_measured"] == pytest.approx(GOLDEN, abs=1e-6)
+    assert last["M"] == pytest.approx(np.e, rel=1e-10)
+    assert last["M_measured"] <= last["M"] * (1 + 1e-3)
+
+
+def test_chord_arc_violation_appends_no_row(monkeypatch):
+    # record checks a row before it appends it: after a ChordArcError the
+    # series holds the rows it had, and the next row integrates from them.
+    import fluidspan.lagrangian as lagrangian
+
+    grid = Grid(16)
+    state = initial_state(ModelKind.BOUSSINESQ, grid, delta=0.1)
+    ens = identity_ensemble(8)
+    series = StretchingSeries(kind=ModelKind.BOUSSINESQ)
+    record(series, state, ens)
+    steps = march(state, ens, 0.1, 0.02)
+    record(series, *next(steps))
+    before = [dict(row) for row in series.rows]
+    state, ens = next(steps)
+    monkeypatch.setattr(lagrangian, "CHORD_ARC_TOL", -0.5)
+    with pytest.raises(ChordArcError):
+        record(series, state, ens)
+    assert series.rows == before
+    monkeypatch.undo()
+    row = record(series, state, ens)
+    assert series.rows == before + [row] and row["t"] == state.t
 
 
 def test_euler_eigenstate_exponential_m():
@@ -370,12 +395,11 @@ def test_euler_eigenstate_exponential_m():
     grid = Grid(64)
     state = FluidState(ModelKind.EULER, 0.0, omega=eigenstate_vorticity(grid))
     series = StretchingSeries(kind=ModelKind.EULER)
-    record(series, state)
-    g0 = series.grad_u_inf[0]
+    g0 = record(series, state)["grad_u_inf"]
     for k in range(10):
         state = FluidState(ModelKind.EULER, 0.05 * (k + 1), omega=state.omega)
         record(series, state)
-    slopes = np.diff(np.log(series.M())) / np.diff(series.times())
+    slopes = np.diff(np.log(series.column("M"))) / np.diff(series.column("t"))
     assert np.max(np.abs(slopes - g0)) < 1e-6
 
 
@@ -400,8 +424,7 @@ def test_record_matches_norm_definitions(kind):
                   else "rho_minus_1_W2p")
     state, _ = step_detailed(initial_state(kind, grid, delta=0.05, delta_norm=delta_norm,
                                            seed_profile="helical"), 0.02)
-    series = StretchingSeries(kind=kind, p=p)
-    record(series, state)
+    row = record(StretchingSeries(kind=kind, p=p), state)
 
     u = state.velocity()
     d = {(i, a, b): spectral_derivative(c, (a, b)).values
@@ -429,13 +452,13 @@ def test_record_matches_norm_definitions(kind):
     if kind in (ModelKind.MHD_VORTICITY_CURRENT, ModelKind.MHD_ELSASSER):
         b1 = -1.0 * spectral_derivative(rho, (0, 1))
         b2 = spectral_derivative(rho, (1, 0))
-        expected["b_w2p"] = _w_kp([b1, b2], 2, p)
+        expected["B_w2p"] = _w_kp([b1, b2], 2, p)
         current = spectral_derivative(rho, (2, 0)) + spectral_derivative(rho, (0, 2))
         xi, eta = omega + current, omega - current
-        expected["y"] = _w_kp([xi], 1, p) + _w_kp([eta], 1, p)
-        expected["z"] = _w_kp([xi], 2, p) + _w_kp([eta], 2, p)
+        expected["Y"] = _w_kp([xi], 1, p) + _w_kp([eta], 1, p)
+        expected["Z"] = _w_kp([xi], 2, p) + _w_kp([eta], 2, p)
     for name, value in expected.items():
-        assert getattr(series, name)[0] == pytest.approx(value, rel=1e-12), name
+        assert row[name] == pytest.approx(value, rel=1e-12), name
 
 
 def test_memory_iie_zero_velocity():
@@ -445,7 +468,7 @@ def test_memory_iie_zero_velocity():
     for t in (0.0, 0.4, 0.8):
         state = FluidState(ModelKind.IIE, t, omega=ScalarField.zeros(grid), rho=rho)
         record(series, state)
-    assert series.q == pytest.approx([0.0, 0.0, 0.0])
+    assert series.column("Q") == pytest.approx([0.0, 0.0, 0.0])
 
 
 def test_memory_matches_constant_coefficient_integral():
@@ -459,11 +482,10 @@ def test_memory_matches_constant_coefficient_integral():
     for k in range(101):
         state = FluidState(ModelKind.BOUSSINESQ, k * dt, omega=omega, rho=rho)
         record(series, state)
-    a = series.grad_u_inf[0]
-    b = series.grad_u_w1p[0]
-    t_end = series.t[-1]
+    first, last = series.rows[0], series.rows[-1]
+    a, b, t_end = first["grad_u_inf"], first["grad_u_w1p"], last["t"]
     exact = (np.exp(a * t_end) - 1) / a + (np.exp(b * t_end) - 1) / b
-    assert series.y[-1] == pytest.approx(exact, rel=1e-4)
+    assert last["Y"] == pytest.approx(exact, rel=1e-4)
 
 
 def test_duhamel_t0_recovers_initial_vorticity():
@@ -529,22 +551,16 @@ def check_w1p_bounds(series, delta, c_fit):
     model's forcing memory; rho side: ||rho||_{2,p} <= c (1 + delta (M + N + M^2)).
     Returns per-sample margins (rhs - lhs >= 0 when c_fit is adequate).
     """
-    m_arr = series.M()
-    n_arr = series.N()
-    omega_margins = []
-    rho_margins = []
-    for i, _ in enumerate(series.t):
-        if series.kind is ModelKind.BOUSSINESQ:
-            q_k = series.y[i]  # K0 = 1, Kp = 0: the memory is int (M + N)
-        elif series.kind is ModelKind.IIE:
-            q_k = series.q[i]
-        else:
-            q_k = 0.0
-        rhs = c_fit * (1.0 + m_arr[i] + delta * m_arr[i] * q_k)
-        omega_margins.append(rhs - series.omega_w1p[i])
-        rhs_rho = c_fit * (1.0 + delta * (m_arr[i] + n_arr[i] + m_arr[i] ** 2))
-        rho_margins.append(rhs_rho - series.rho_w2p[i])
-    return {"omega": np.array(omega_margins), "rho": np.array(rho_margins)}
+    m_arr, n_arr = series.column("M"), series.column("N")
+    if series.kind is ModelKind.BOUSSINESQ:
+        q_k = series.column("Y")  # K0 = 1, Kp = 0: the memory is int (M + N)
+    elif series.kind is ModelKind.IIE:
+        q_k = series.column("Q")
+    else:
+        q_k = np.zeros_like(m_arr)
+    rhs = c_fit * (1.0 + m_arr + delta * m_arr * q_k)
+    rhs_rho = c_fit * (1.0 + delta * (m_arr + n_arr + m_arr**2))
+    return {"omega": rhs - series.column("omega_w1p"), "rho": rhs_rho - series.column("rho_w2p")}
 
 
 def test_transport_lemma_identity_map():
