@@ -40,7 +40,7 @@ print(f"chord-arc bound: measured {max(fwd, inv):.4f} <= e = {np.e:.4f}")
 grid = Grid(96)
 state = initial_state(ModelKind.BOUSSINESQ, grid, delta=0.1)
 ens = identity_ensemble(96)
-series = StretchingSeries(kind=ModelKind.BOUSSINESQ)
+series = StretchingSeries()
 record(series, state, ens)
 hist = DuhamelHistory(state, ens)
 for state, ens in march(state, ens, 1.0, 0.01):

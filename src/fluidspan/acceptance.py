@@ -240,7 +240,7 @@ def criterion_flow_map():
     grid = Grid(64)
     state = initial_state(ModelKind.BOUSSINESQ, grid, delta=0.05)
     ens2 = identity_ensemble(48)
-    series = StretchingSeries(kind=ModelKind.BOUSSINESQ)
+    series = StretchingSeries()
     chord_ok = True
     try:
         record(series, state, ens2)

@@ -588,10 +588,7 @@ def calibrate_c_fit(series, model):
         y_arr, q_arr = col("Y"), col("Q")
         ratios.append(np.max(g_m / ((1.0 + np.log1p(y_arr)) * (1.0 + q_arr))))
         ratios.append(np.max(y_arr / (1.0 + 2.0 * m_arr + m_arr * q_arr)))
-        z_arr = col("Z")
-        iy = np.concatenate([[0.0], np.cumsum(0.5 * np.diff(col("t"))
-                                              * (y_arr[1:] + y_arr[:-1]))])
-        ratios.append(np.max(np.log(np.maximum(z_arr, 1.0)) / (1.0 + iy)))
+        ratios.append(np.max(np.log(np.maximum(col("Z"), 1.0)) / (1.0 + col("int_y"))))
     else:  # Boussinesq (and Euler as its delta = 0 twin)
         ratios.append(np.max(g_m / (1.0 + np.log(2.0 + g_n))))
     return max(float(max(ratios)), 1.0)

@@ -266,7 +266,7 @@ def run(config, csv_stream=None):
     kind = ModelKind.parse(config.model)
     grid = Grid(config.nx, config.ny)
     ens = identity_ensemble(config.particle_m) if config.track_particles else None
-    series = StretchingSeries(kind=kind, p=config.p)
+    series = StretchingSeries(p=config.p)
     termination = "completed"
     status = 0
     initial_checks = {}

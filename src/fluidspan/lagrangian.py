@@ -2,18 +2,22 @@
 
 A square ensemble of particles seeded at labels a is advected by RK4 on
 dX/dt = u(t, X) while the Jacobian is transported along each path by
-d(grad X)/dt = grad u(X) . grad X.  Velocities and their gradients are
-evaluated at particle positions with periodic bicubic interpolation
-(O(dx^4) error against the spectral fields): one PeriodicInterpolator
-takes a set of planes as rfft2 coefficients, folds the cubic B-spline
-prefilter into their one inverse transform each, and per call builds each
-point's 16-node stencil once and applies it to all planes in one sparse
-product.
-A velocity provider is a callable ``provider(stage, points) -> (u, grad u)``
-read once per RK4 stage: StageVelocity interpolates the four stage
-velocities of a model step, analytic_velocity wraps closed forms.  A stage
-interpolates five planes, u1, u2, d_x u1, d_y u1 and d_x u2, and returns
-d_y u2 = -d_x u1, so the interpolated grad u is trace-free by construction.
+d(grad X)/dt = grad u(X) . grad X.  A step keeps X and grad X as one
+(6, m, m) array of planes: stage sums and 2x2 products act on whole
+planes.  Velocities and their gradients are evaluated at particle
+positions with periodic bicubic interpolation (O(dx^4) error against the
+spectral fields): spline coefficients come from rfft2 coefficients by one
+multiply with the inverse B-spline symbol and one batched inverse
+transform, padded so that no node index wraps, and a call builds each
+point's 16-node stencil once, wrapping only its integer base, and applies
+it to all planes in one sparse product.
+A velocity provider is a callable ``provider(stage, x) -> (u, grad u)``
+read once per RK4 stage, on planes: positions x of shape (2, ...), on any
+period, and u, grad u of shapes (2, ...) and (2, 2, ...).  StageVelocity
+interpolates the four stage velocities of a model step; analytic_velocity
+wraps the positions for its closed forms.  A stage interpolates five
+planes, u1, u2, d_x u1, d_y u1 and d_x u2, and returns d_y u2 = -d_x u1,
+so the interpolated grad u is trace-free by construction.
 
 On top of the ensemble this module tracks the stretching quantities
 
@@ -25,6 +29,7 @@ memory integrals Q / Y / Z, and the Duhamel vorticity reconstruction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -33,7 +38,6 @@ import numpy as np
 from .errors import ChordArcError, InstabilityError, ReconstructionError
 from .fields import (
     ScalarField,
-    derivative_hat,
     derivative_orders,
     derivative_planes,
     grad_layers,
@@ -53,115 +57,172 @@ from .models import MHD_KINDS, ModelKind
 CHORD_ARC_TOL = 1e-3
 
 
+def _inverse_symbol(shape):
+    """1 / S on the rfft2 half plane of an nx x ny grid: S is the cubic
+    B-spline's symbol, (4 + 2 cos(2 pi k / n)) / 6 on each axis."""
+    nx, ny = shape
+    sx = (4.0 + 2.0 * np.cos(TWO_PI * np.fft.fftfreq(nx))) / 6.0
+    sy = (4.0 + 2.0 * np.cos(TWO_PI * np.fft.rfftfreq(ny))) / 6.0
+    return 1.0 / (sx[:, None] * sy[None, :])
+
+
+def _spline_coefficients(spectra, shape):
+    """Padded point-major spline coefficients from prefiltered rfft2 spectra.
+
+    ``spectra`` is a (planes, nx, ny // 2 + 1) stack; one batched inverse
+    transform gives its planes, which are copied into one
+    ((nx + 3) * (ny + 3), planes) array: row (p, q) holds the coefficients
+    of grid node (p - 1, q - 1), so nodes -1 .. n + 1 of each axis are
+    there and a stencil needs no wrapped index.  The stack and the unpadded
+    planes are dropped as soon as they are copied.
+    """
+    nx, ny = shape
+    planes = np.fft.irfft2(spectra, s=shape)
+    del spectra
+    padded = np.empty((nx + 3, ny + 3, len(planes)))
+    padded[1:nx + 1, 1:ny + 1] = np.moveaxis(planes, 0, -1)
+    del planes
+    padded[0], padded[nx + 1:] = padded[nx], padded[1:3]
+    padded[:, 0], padded[:, ny + 1:] = padded[:, ny], padded[:, 1:3]
+    return padded.reshape(-1, padded.shape[-1])
+
+
+def _stencil(c, n):
+    """Cubic B-spline weights (axes, 4, k) at grid coordinates c (axes, k),
+    with n nodes on each periodic axis, and the padded index (axes, k) of
+    their first node: nodes floor(c) - 1 .. floor(c) + 2, weights of the
+    fractional part t = c - floor(c).  Only the integer base is wrapped,
+    so c may lie on any period."""
+    base = np.floor(c)
+    t = c - base
+    s = 1.0 - t
+    weights = np.stack([s * s * s, (t * t * (t - 2.0)) * 3.0 + 4.0,
+                        (s * s * (s - 2.0)) * 3.0 + 4.0, t * t * t], axis=1) / 6.0
+    return weights, base.astype(np.int32) % n
+
+
+def _evaluate(coeffs, shape, x):
+    """Point-major values (k, planes) of padded spline coefficients (see
+    :func:`_spline_coefficients`) at the k points of the positions x, an
+    array (2, ...) of coordinates on any period: each point's 16-node
+    stencil is one row of a sparse matrix, and one sparse product
+    evaluates every plane."""
+    nx, ny = shape
+    spacing = np.array([[TWO_PI / nx], [TWO_PI / ny]])
+    n = np.array([[nx], [ny]], dtype=np.int32)  # int32 node indices, as scipy.sparse keeps them
+    (wx, wy), (bx, by) = _stencil(x.reshape(2, -1) / spacing, n)
+    k = bx.size
+    # row p of the stencil: weights wx[a, p] wy[b, p] on nodes (bx + a, by + b), a, b = 0..3
+    weights = (wx[:, None] * wy[None, :]).reshape(16, k).T.ravel()
+    offsets = (np.arange(4, dtype=np.int32)[:, None] * (ny + 3)
+               + np.arange(4, dtype=np.int32)).ravel()
+    nodes = ((bx * (ny + 3) + by)[:, None] + offsets).ravel()
+    rows = np.arange(0, 16 * k + 1, 16, dtype=np.int32)
+    from scipy import sparse  # imported by the first call, not by the package
+
+    stencil = sparse.csr_array((weights, nodes, rows), shape=(k, coeffs.shape[0]))
+    return stencil @ coeffs
+
+
 class PeriodicInterpolator:
     """Bicubic periodic interpolation of planes on an nx x ny grid of the torus.
 
     The planes come as rfft2 coefficients.  The cubic B-spline prefilter is
     diagonal in Fourier space (Unser, Aldroubi & Eden 1993): it divides by
-    the spline's symbol (4 + 2 cos(2 pi k / n)) / 6 on each axis, so each
-    plane's spline coefficients cost one multiply by the inverse symbol and
-    one inverse transform.  They are kept point-major, one
-    (nx * ny, planes) array.  A call builds each point's stencil once, 4
-    B-spline weights per axis on 16 wrapped grid nodes, as one sparse
-    matrix with 16 entries per row, and one sparse product evaluates every
-    plane; values come back stacked on axis 0.
+    the spline's symbol (4 + 2 cos(2 pi k / n)) / 6 on each axis, so the
+    planes' spline coefficients cost one multiply by the inverse symbol and
+    one batched inverse transform.  They are kept point-major and padded
+    by one node before and two after on each axis.  A call takes points of
+    any real coordinates: each point's stencil, 4 B-spline weights per axis
+    on 16 grid nodes, wraps only its integer base, and one sparse product
+    evaluates every plane; values come back stacked on axis 0.
     """
 
     def __init__(self, hats, shape):
-        nx, ny = self.shape = shape
-        self.dx, self.dy = TWO_PI / nx, TWO_PI / ny
-        sx = (4.0 + 2.0 * np.cos(TWO_PI * np.fft.fftfreq(nx))) / 6.0
-        sy = (4.0 + 2.0 * np.cos(TWO_PI * np.fft.rfftfreq(ny))) / 6.0
-        inv_symbol = 1.0 / (sx[:, None] * sy[None, :])
-        self._coeffs = np.empty((nx * ny, len(hats)))
-        coeffs = self._coeffs.reshape(nx, ny, len(hats))
-        for i, h in enumerate(hats):
-            coeffs[..., i] = np.fft.irfft2(h * inv_symbol, s=shape)
+        self.shape = shape
+        self._coeffs = _spline_coefficients(np.stack(hats) * _inverse_symbol(shape), shape)
 
     def __call__(self, points):
         """Evaluate at points of shape (..., 2); returns (planes, ...)."""
         pts = np.asarray(points)
-        nx, ny = self.shape
-        wx, ix = _stencil((pts[..., 0] / self.dx).ravel(), nx)
-        wy, iy = _stencil((pts[..., 1] / self.dy).ravel(), ny)
-        n = wx.shape[1]
-        # (16, n) products, transposed so each point's 16 entries are one CSR row
-        weights = (wx[:, None] * wy[None, :]).reshape(16, n).T.ravel()
-        nodes = (ix[:, None] * ny + iy[None, :]).reshape(16, n).T.ravel()
-        rows = np.arange(0, 16 * n + 1, 16, dtype=np.int32)
-        from scipy import sparse  # imported by the first call, not by the package
-
-        stencil = sparse.csr_array((weights, nodes, rows), shape=(n, nx * ny))
-        out = stencil @ self._coeffs
-        return out.T.reshape((out.shape[1],) + pts.shape[:-1])
-
-
-def _stencil(c, n):
-    """Cubic B-spline weights (4, k) and wrapped node indices (4, k) at grid
-    coordinates c on a periodic axis of n nodes: nodes floor(c) - 1 ..
-    floor(c) + 2, weights of the fractional part t = c - floor(c)."""
-    base = np.floor(c)
-    t = c - base
-    s = 1.0 - t
-    weights = np.stack([s * s * s, (t * t * (t - 2.0)) * 3.0 + 4.0,
-                        (s * s * (s - 2.0)) * 3.0 + 4.0, t * t * t]) / 6.0
-    nodes = (base.astype(np.int32) + np.arange(-1, 3, dtype=np.int32)[:, None]) % n
-    return weights, nodes
-
-
-def _split_velocity(vals):
-    """(u, grad u) with shapes (..., 2) and (..., 2, 2) from point-major
-    values (..., 6) of (u1, u2, d_x u1, d_y u1, d_x u2, d_y u2); both are
-    views of ``vals``."""
-    return vals[..., :2], vals[..., 2:].reshape(vals.shape[:-1] + (2, 2))
+        vals = _evaluate(self._coeffs, self.shape, np.moveaxis(pts, -1, 0))
+        return vals.T.reshape((vals.shape[1],) + pts.shape[:-1])
 
 
 class StageVelocity:
     """Provider built from the four RK4 stage velocities of a model step.
 
     ``stages`` are the stage velocity fields from models.step_detailed, in
-    stage order.  Each stage's interpolator is built here over the
-    coefficients of five planes: u1, u2, d_x u1, d_y u1 and d_x u2, each
-    prefiltered (five inverse transforms per stage).  ``provider(stage,
-    points)`` returns (u, grad u) of that stage at the points, with
-    d_y u2 = -d_x u1: grad u is trace-free by construction, which drops
-    the round-off divergence of the Biot-Savart velocities and IIE's
-    solver-tolerance divergence.  Stage k of the flow-map step reads stage
-    k of the field step.
+    stage order.  Each stage's spline coefficients are five planes, u1,
+    u2, d_x u1, d_y u1 and d_x u2: one product of the velocity's
+    coefficients (u1_hat, u2_hat) with three per-grid multipliers, 1 / S,
+    i kx / S and i ky / S (S the spline's symbol), and one batched inverse
+    transform.  ``provider(stage, x)`` returns (u, grad u) of that stage at
+    the positions x, with d_y u2 = -d_x u1: grad u is trace-free by
+    construction, which drops the round-off divergence of the Biot-Savart
+    velocities and IIE's solver-tolerance divergence.  Stage k of the
+    flow-map step reads stage k of the field step.
     """
 
     def __init__(self, stages):
-        self._stages = []
-        for w in stages:
-            g = w.grid
-            u1, u2 = w.u.hat, w.v.hat
-            hats = (u1, u2, *gradient_hat(g, u1), derivative_hat(g, u2, 1, 0))
-            self._stages.append(PeriodicInterpolator(hats, (g.nx, g.ny)))
+        g = stages[0].grid
+        self._shape = (g.nx, g.ny)
+        self._coeffs = [_spline_coefficients(_stage_spectra(w), self._shape) for w in stages]
 
-    def __call__(self, stage, points):
-        planes = self._stages[stage](points)
-        vals = np.empty(planes.shape[1:] + (6,))
-        vals[..., :5] = np.moveaxis(planes, 0, -1)
-        np.negative(vals[..., 2], out=vals[..., 5])
-        return _split_velocity(vals)
+    def __call__(self, stage, x):
+        vals = np.empty((6,) + x.shape[1:])
+        flat = vals.reshape(6, -1)
+        flat[:5] = _evaluate(self._coeffs[stage], self._shape, x).T
+        np.negative(flat[2], out=flat[5])
+        return vals[:2], vals[2:].reshape((2, 2) + x.shape[1:])
+
+
+@functools.lru_cache(maxsize=None)
+def _stage_multipliers(grid):
+    """The grid's multipliers (1 / S, i kx / S, i ky / S), made once per
+    grid and read-only."""
+    inv = _inverse_symbol((grid.nx, grid.ny))
+    multipliers = (inv, (1j * grid.KXd) * inv, (1j * grid.KYd) * inv)
+    for m in multipliers:
+        m.setflags(write=False)
+    return multipliers
+
+
+def _stage_spectra(w):
+    """The prefiltered spectra (5, nx, ny // 2 + 1) of the velocity w's
+    planes u1, u2, d_x u1, d_y u1 and d_x u2: one product of w's
+    coefficients (u1_hat, u2_hat) with its grid's multipliers (1 / S,
+    i kx / S, i ky / S)."""
+    multipliers = _stage_multipliers(w.grid)
+    hats = (w.u.hat, w.v.hat)
+    spectra = np.empty((5,) + multipliers[0].shape, dtype=complex)
+    for plane, (m, c) in zip(spectra, ((0, 0), (0, 1), (1, 0), (2, 0), (1, 1))):
+        np.multiply(multipliers[m], hats[c], out=plane)
+    return spectra
 
 
 def analytic_velocity(u_fn, grad_fn):
     """Provider from closed-form u_fn(x, y) -> (u1, u2) and grad_fn(x, y) ->
-    (d_x u1, d_y u1, d_x u2, d_y u2); every stage reads the same field."""
+    (d_x u1, d_y u1, d_x u2, d_y u2), evaluated at the wrapped positions;
+    every stage reads the same field."""
 
-    def provider(stage, points):
-        x, y = points[..., 0], points[..., 1]
-        shape = points.shape[:-1]
-        return _split_velocity(np.stack([np.broadcast_to(c, shape)
-                                         for c in (*u_fn(x, y), *grad_fn(x, y))], axis=-1))
+    def provider(stage, x):
+        x1, x2 = np.mod(x, TWO_PI)
+        shape = x.shape[1:]
+        vals = np.stack([np.broadcast_to(c, shape) for c in (*u_fn(x1, x2), *grad_fn(x1, x2))])
+        return vals[:2], vals[2:].reshape((2, 2) + shape)
 
     return provider
 
 
 @dataclass
 class FlowMapEnsemble:
-    """Particle positions X(t, a) and Jacobians grad X(t, a) on an m x m label grid."""
+    """Particle positions X(t, a) and Jacobians grad X(t, a) on an m x m label grid.
+
+    ``x`` and ``jac`` are indexed point first, as views of one (6, m, m)
+    array of planes, X1, X2, then grad X's entries row by row: the layout
+    advect_flow_map steps.
+    """
 
     labels: np.ndarray  # (m, m, 2)
     x: np.ndarray       # (m, m, 2)
@@ -173,50 +234,56 @@ class FlowMapEnsemble:
         return self.labels.shape[0]
 
 
+def _on_planes(labels, planes, t):
+    """The ensemble whose x and jac are views of the (6, m, m) planes."""
+    m = planes.shape[-1]
+    return FlowMapEnsemble(labels=labels, x=np.moveaxis(planes[:2], 0, -1),
+                           jac=np.moveaxis(planes[2:].reshape(2, 2, m, m), (0, 1), (-2, -1)),
+                           t=t)
+
+
 def identity_ensemble(m=64):
     h = TWO_PI / m
     a1 = h * np.arange(m)
     A1, A2 = np.meshgrid(a1, a1, indexing="ij")
-    labels = np.stack([A1, A2], axis=-1)
-    jac = np.zeros((m, m, 2, 2))
-    jac[..., 0, 0] = 1.0
-    jac[..., 1, 1] = 1.0
-    return FlowMapEnsemble(labels=labels, x=labels.copy(), jac=jac, t=0.0)
+    planes = np.zeros((6, m, m))
+    planes[0], planes[1] = A1, A2
+    planes[2] = planes[5] = 1.0
+    return _on_planes(np.stack([A1, A2], axis=-1), planes, 0.0)
 
 
 def advect_flow_map(ens, provider, dt):
     """One RK4 step of the coupled position/Jacobian system.
 
-    ``provider(stage, pts)`` returns (u, grad u) at the wrapped positions
-    pts, with shapes (..., 2) and (..., 2, 2), for the RK4 stage index
-    0..3; the positions themselves stay unwrapped.
+    ``provider(stage, x)`` takes the positions as planes x of shape (2, m, m),
+    unwrapped, and returns (u, grad u) there as planes of shapes (2, m, m)
+    and (2, 2, m, m), for the RK4 stage index 0..3.  The step works on one
+    (6, m, m) array of planes, positions then Jacobian entries: each stage
+    sum and each 2x2 product acts on whole planes.
     """
-    x0, g0 = ens.x, ens.jac
+    m = ens.m
+    y0 = np.concatenate([np.moveaxis(ens.x, -1, 0),
+                         np.moveaxis(ens.jac, (-2, -1), (0, 1)).reshape(4, m, m)])
 
-    def f(stage, x, g):
-        dx, gu = provider(stage, np.mod(x, TWO_PI))
-        return dx, _matmul_2x2(gu, g)
+    def f(stage, y):
+        u, gu = provider(stage, y[:2])
+        k = np.empty_like(y)
+        k[:2] = u
+        g, kg = y[2:].reshape(2, 2, m, m), k[2:].reshape(2, 2, m, m)
+        # (grad u . grad X)_ij = gu_i0 g_0j + gu_i1 g_1j
+        np.multiply(gu[:, :1], g[0], out=kg)
+        kg += gu[:, 1:] * g[1]
+        return k
 
-    k1x, k1g = f(0, x0, g0)
-    k2x, k2g = f(1, x0 + 0.5 * dt * k1x, g0 + 0.5 * dt * k1g)
-    k3x, k3g = f(2, x0 + 0.5 * dt * k2x, g0 + 0.5 * dt * k2g)
-    k4x, k4g = f(3, x0 + dt * k3x, g0 + dt * k3g)
-
-    x = x0 + (dt / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-    g = g0 + (dt / 6.0) * (k1g + 2 * k2g + 2 * k3g + k4g)
+    k1 = f(0, y0)
+    k2 = f(1, y0 + 0.5 * dt * k1)
+    k3 = f(2, y0 + 0.5 * dt * k2)
+    k4 = f(3, y0 + dt * k3)
+    y = y0 + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     t = ens.t + dt
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(g))):
+    if not np.all(np.isfinite(y)):
         raise InstabilityError(f"non-finite flow map at t = {t}")
-    return FlowMapEnsemble(labels=ens.labels, x=x, jac=g, t=t)
-
-
-def _matmul_2x2(a, b):
-    """a . b for stacks of 2x2 matrices, one plane product per entry."""
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-    for i in range(2):
-        for j in range(2):
-            out[..., i, j] = a[..., i, 0] * b[..., 0, j] + a[..., i, 1] * b[..., 1, j]
-    return out
+    return _on_planes(ens.labels, y, t)
 
 
 def jacobian_norms(ens):
@@ -298,16 +365,15 @@ class StretchingSeries:
 
     ``rows`` holds one dict per row, keyed by run.csv's column names, plus
     lowercase keys that run.csv does not carry: log M and log N,
-    ||grad u||_inf and ||grad u||_{1,p}, the Kato quotient and the memory
-    integrands, read by the next row's trapezoids, the calibration and the
-    run's Kato supremum.  M and N accumulate trapezoidally in log
+    ||grad u||_inf and ||grad u||_{1,p}, the Kato quotient, the memory
+    integrands and, for MHD, int Y, read by the next row's trapezoids, the
+    calibration and the run's Kato supremum.  M and N accumulate trapezoidally in log
     space from the instantaneous integrands; Q, Y, Z follow each model's
     definition with Mdot, Ndot taken from the analytic relations
     Mdot = ||grad u||_inf M and Ndot = ||grad u||_{1,p} N (no finite
     differencing).
     """
 
-    kind: ModelKind
     p: float = 4.0
     rows: list = field(default_factory=list)
 
@@ -454,6 +520,7 @@ def record(series, state, ens=None):
                  for sign, hat in zip((1.0, -1.0), xi_eta)]
         row["Y"] = sum(_total(t, 1) for t in terms)
         row["Z"] = sum(_total(t, 2) for t in terms)
+        integrate("int_y", "Y")
         row["q_dot"] = u_w2p * b_norm
         integrate("Q", "q_dot")
     else:

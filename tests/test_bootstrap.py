@@ -232,10 +232,10 @@ def test_saturated_mhd_holds():
     assert rep.t_reached == pytest.approx(0.25)
 
 
-def _synthetic_series(kind, t, **cols):
+def _synthetic_series(t, **cols):
     """A series of rows at times t holding the given columns; M and N read 1,
     the gradient norms 0 and omega_inf 1 unless given, Q, Y and Z none."""
-    s = StretchingSeries(kind=kind)
+    s = StretchingSeries()
     defaults = {"M": 1.0, "N": 1.0, "Q": None, "Y": None, "Z": None,
                 "grad_u_inf": 0.0, "grad_u_w1p": 0.0, "omega_inf": 1.0}
     s.rows = [{**defaults, "t": ti, **{k: v[i] for k, v in cols.items()}}
@@ -246,7 +246,7 @@ def _synthetic_series(kind, t, **cols):
 def test_monitor_trivial_boussinesq_run():
     # zero velocity: Y = 2t, Z = t; delta Y hits 1 at t = 1/(2 delta)
     t = np.linspace(0.0, 10.0, 2001)
-    series = _synthetic_series(ModelKind.BOUSSINESQ, t, Y=list(2 * t), Z=list(t))
+    series = _synthetic_series(t, Y=list(2 * t), Z=list(t))
     rep = bootstrap_monitor(series, ModelKind.BOUSSINESQ, delta=0.2)
     assert rep.components["delta*Y"] == pytest.approx(2.5, abs=1e-6)
     assert rep.components["delta*Z"] == pytest.approx(5.0, abs=1e-6)
@@ -256,7 +256,7 @@ def test_monitor_trivial_boussinesq_run():
 def test_monitor_synthetic_crossing():
     t = np.linspace(0.0, 4.0, 401)
     q = 0.5 * t  # delta q crosses 1 at t = 2 for delta = 1
-    series = _synthetic_series(ModelKind.IIE, t, Q=list(q))
+    series = _synthetic_series(t, Q=list(q))
     rep = bootstrap_monitor(series, ModelKind.IIE, delta=1.0, c_fit=1e-9)
     assert rep.components["delta*Q"] == pytest.approx(2.0, abs=1e-9)
     assert rep.t_emp == pytest.approx(2.0, abs=1e-9)
@@ -264,7 +264,7 @@ def test_monitor_synthetic_crossing():
 
 def test_monitor_unconditional_for_zero_delta():
     t = np.linspace(0.0, 1.0, 11)
-    series = _synthetic_series(ModelKind.IIE, t, Q=[0.0] * 11)
+    series = _synthetic_series(t, Q=[0.0] * 11)
     rep = bootstrap_monitor(series, ModelKind.IIE, delta=0.0)
     assert rep.unconditional
     assert rep.t_emp == math.inf
@@ -287,8 +287,7 @@ def test_theory_window_positive_deep_in_domain():
 def test_calibrate_c_fit_euler_like_series():
     t = np.linspace(0.0, 1.0, 51)
     series = _synthetic_series(
-        ModelKind.BOUSSINESQ, t,
-        grad_u_inf=[1.5] * 51, grad_u_w1p=[6.0] * 51,
+        t, grad_u_inf=[1.5] * 51, grad_u_w1p=[6.0] * 51,
         omega_inf=[1.7] * 51, M=list(np.exp(1.5 * t)), N=list(np.exp(6.0 * t)),
     )
     c = calibrate_c_fit(series, ModelKind.BOUSSINESQ)

@@ -171,19 +171,47 @@ def test_stage_velocity_matches_per_plane_reference():
 
     provider = StageVelocity(stages)
     for k, w in enumerate(stages):
-        u, grad_u = provider(k, pts)
-        assert u.shape == (7, 9, 2) and grad_u.shape == (7, 9, 2, 2)
-        assert np.may_share_memory(u, grad_u)  # views of one point-major product
-        assert np.array_equal(grad_u[..., 1, 1], -grad_u[..., 0, 0])  # trace-free
+        u, grad_u = provider(k, np.moveaxis(pts, -1, 0))
+        assert u.shape == (2, 7, 9) and grad_u.shape == (2, 2, 7, 9)
+        assert u.base is not None and u.base is grad_u.base  # views of one plane-major array
+        assert np.array_equal(grad_u[1, 1], -grad_u[0, 0])  # trace-free
         planes = (w.u, w.v, spectral_derivative(w.u, (1, 0)), spectral_derivative(w.u, (0, 1)),
                   spectral_derivative(w.v, (1, 0)), spectral_derivative(w.v, (0, 1)))
-        got = (u[..., 0], u[..., 1], grad_u[..., 0, 0], grad_u[..., 0, 1],
-               grad_u[..., 1, 0], grad_u[..., 1, 1])
+        got = (u[0], u[1], grad_u[0, 0], grad_u[0, 1], grad_u[1, 0], grad_u[1, 1])
         for i, (value, f) in enumerate(zip(got, planes)):
             bound = 1e-14 * f.max_abs()
             assert np.max(np.abs(value - folded(f.hat))) <= bound, (k, i)
             reference = _spline_reference(f.values, coords).reshape(pts.shape[:-1])
             assert np.max(np.abs(value - reference)) <= bound, (k, i)
+
+
+def test_stage_velocity_is_periodic_in_the_positions():
+    # Positions shifted by whole periods (+-2 pi, +-4 pi, on each axis
+    # alone and on both) give the values at the wrapped positions: the
+    # stencil wraps its integer base only, so no float wrap is needed.
+    # Wrapped positions include 0 itself and points just below 2 pi, whose
+    # shifts by -2 pi fall just below 0.
+    grid = Grid(32)
+    _, stages = step_detailed(initial_state(ModelKind.MHD_ELSASSER, grid, delta=0.1), 0.02)
+    provider = StageVelocity(stages)
+    two_pi = 2 * np.pi
+    rng = np.random.default_rng(11)
+    edges = np.array([0.0, 1e-15, np.nextafter(two_pi, 0.0), two_pi - 1e-13, grid.dx, np.pi])
+    wrapped = np.concatenate([np.stack(np.meshgrid(edges, edges, indexing="ij")).reshape(2, -1),
+                              rng.uniform(0.0, two_pi, size=(2, 100))], axis=1)
+    def planes(stage, x):  # u1, u2, d_x u1, d_y u1, d_x u2, d_y u2 at x
+        u, grad_u = provider(stage, x)
+        return np.concatenate([u, grad_u.reshape(4, -1)])
+
+    for k, w in enumerate(stages):
+        # max |f| over the grid for each plane
+        bound = 1e-14 * np.array([f.max_abs() for f in (
+            w.u, w.v, spectral_derivative(w.u, (1, 0)), spectral_derivative(w.u, (0, 1)),
+            spectral_derivative(w.v, (1, 0)), spectral_derivative(w.v, (0, 1)))])
+        at_wrapped = planes(k, wrapped)
+        for n1, n2 in [(1, 0), (0, -1), (-1, -1), (2, 1), (-2, 2), (-2, -2)]:
+            shifted = planes(k, wrapped + two_pi * np.array([[n1], [n2]]))
+            assert np.all(np.max(np.abs(shifted - at_wrapped), axis=1) <= bound), (k, n1, n2)
 
 
 def test_stage_velocities_of_consecutive_steps_stand_alone():
@@ -193,7 +221,7 @@ def test_stage_velocities_of_consecutive_steps_stand_alone():
     grid = Grid(32)
     state, stages1 = step_detailed(initial_state(ModelKind.BOUSSINESQ, grid, delta=0.1), 0.02)
     _, stages2 = step_detailed(state, 0.02)
-    pts = np.random.default_rng(9).uniform(0.0, 2 * np.pi, size=(50, 2))
+    pts = np.random.default_rng(9).uniform(0.0, 2 * np.pi, size=(2, 50))
     first = StageVelocity(stages1)
     second = StageVelocity(stages2)
     for k in range(4):
@@ -282,7 +310,8 @@ def test_jacobian_product_matches_einsum_reference():
     dt = 0.07
 
     def f(stage, x, g):
-        u, grad_u = provider(stage, np.mod(x, 2 * np.pi))
+        u, grad_u = provider(stage, np.moveaxis(np.mod(x, 2 * np.pi), -1, 0))
+        u, grad_u = np.moveaxis(u, 0, -1), np.moveaxis(grad_u, (0, 1), (-2, -1))
         return u, np.einsum("...ab,...bc->...ac", grad_u, g)
 
     x0, g0 = ens.x, ens.jac
@@ -328,7 +357,7 @@ def test_stretching_series_zero_velocity():
     state = FluidState(ModelKind.BOUSSINESQ, 0.0,
                        omega=ScalarField.zeros(grid),
                        rho=ScalarField(grid, np.ones((grid.nx, grid.ny))))
-    series = StretchingSeries(kind=ModelKind.BOUSSINESQ)
+    series = StretchingSeries()
     ens = identity_ensemble(16)
     for t in (0.0, 0.5, 1.0):
         state = FluidState(ModelKind.BOUSSINESQ, t, omega=state.omega, rho=state.rho)
@@ -352,7 +381,7 @@ def test_stretching_shear_chord_arc():
     ens = identity_ensemble(32)
     prov = shear_provider()
     grid = Grid(32)
-    series = StretchingSeries(kind=ModelKind.EULER)
+    series = StretchingSeries()
     omega = ScalarField.from_function(grid, lambda x, y: np.cos(y))  # u = (sin y, 0)
     dt = 0.05
     state = FluidState(ModelKind.EULER, 0.0, omega=omega)
@@ -375,7 +404,7 @@ def test_chord_arc_violation_appends_no_row(monkeypatch):
     grid = Grid(16)
     state = initial_state(ModelKind.BOUSSINESQ, grid, delta=0.1)
     ens = identity_ensemble(8)
-    series = StretchingSeries(kind=ModelKind.BOUSSINESQ)
+    series = StretchingSeries()
     record(series, state, ens)
     steps = march(state, ens, 0.1, 0.02)
     record(series, *next(steps))
@@ -394,7 +423,7 @@ def test_euler_eigenstate_exponential_m():
     # steady state: integrand constant, so log M is exactly linear in t
     grid = Grid(64)
     state = FluidState(ModelKind.EULER, 0.0, omega=eigenstate_vorticity(grid))
-    series = StretchingSeries(kind=ModelKind.EULER)
+    series = StretchingSeries()
     g0 = record(series, state)["grad_u_inf"]
     for k in range(10):
         state = FluidState(ModelKind.EULER, 0.05 * (k + 1), omega=state.omega)
@@ -424,7 +453,7 @@ def test_record_matches_norm_definitions(kind):
                   else "rho_minus_1_W2p")
     state, _ = step_detailed(initial_state(kind, grid, delta=0.05, delta_norm=delta_norm,
                                            seed_profile="helical"), 0.02)
-    row = record(StretchingSeries(kind=kind, p=p), state)
+    row = record(StretchingSeries(p=p), state)
 
     u = state.velocity()
     d = {(i, a, b): spectral_derivative(c, (a, b)).values
@@ -464,7 +493,7 @@ def test_record_matches_norm_definitions(kind):
 def test_memory_iie_zero_velocity():
     grid = Grid(32)
     rho = ScalarField(grid, np.ones((grid.nx, grid.ny)))
-    series = StretchingSeries(kind=ModelKind.IIE)
+    series = StretchingSeries()
     for t in (0.0, 0.4, 0.8):
         state = FluidState(ModelKind.IIE, t, omega=ScalarField.zeros(grid), rho=rho)
         record(series, state)
@@ -477,7 +506,7 @@ def test_memory_matches_constant_coefficient_integral():
     grid = Grid(64)
     omega = eigenstate_vorticity(grid)
     rho = ScalarField(grid, np.ones((grid.nx, grid.ny)))
-    series = StretchingSeries(kind=ModelKind.BOUSSINESQ)
+    series = StretchingSeries()
     dt = 0.01
     for k in range(101):
         state = FluidState(ModelKind.BOUSSINESQ, k * dt, omega=omega, rho=rho)
@@ -544,7 +573,7 @@ def check_transport_lemma(ens, f, p):
     return out
 
 
-def check_w1p_bounds(series, delta, c_fit):
+def check_w1p_bounds(series, kind, delta, c_fit):
     """Margins of the a-priori W^{1,p} bounds along a recorded series.
 
     omega side: ||omega||_{1,p} <= c (1 + M + delta M Q_K) with Q_K the
@@ -552,9 +581,9 @@ def check_w1p_bounds(series, delta, c_fit):
     Returns per-sample margins (rhs - lhs >= 0 when c_fit is adequate).
     """
     m_arr, n_arr = series.column("M"), series.column("N")
-    if series.kind is ModelKind.BOUSSINESQ:
+    if kind is ModelKind.BOUSSINESQ:
         q_k = series.column("Y")  # K0 = 1, Kp = 0: the memory is int (M + N)
-    elif series.kind is ModelKind.IIE:
+    elif kind is ModelKind.IIE:
         q_k = series.column("Q")
     else:
         q_k = np.zeros_like(m_arr)
@@ -594,13 +623,13 @@ def test_transport_lemma_along_run():
 def test_w1p_bound_margins_nonnegative_with_fit():
     grid = Grid(64)
     state = initial_state(ModelKind.BOUSSINESQ, grid, delta=0.1)
-    series = StretchingSeries(kind=ModelKind.BOUSSINESQ)
+    series = StretchingSeries()
     record(series, state)
     dt = 0.02
     for _ in range(25):
         state = step_detailed(state, dt)[0]
         record(series, state)
-    margins = check_w1p_bounds(series, delta=0.1, c_fit=50.0)
+    margins = check_w1p_bounds(series, ModelKind.BOUSSINESQ, delta=0.1, c_fit=50.0)
     assert np.all(margins["omega"] >= 0)
     assert np.all(margins["rho"] >= 0)
 

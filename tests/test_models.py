@@ -317,7 +317,7 @@ def test_elsasser_vorticity_is_built_once(fft_counts):
     xi, eta = state.coeffs
     omega_hat = 0.5 * (xi + eta)
     fft_counts.inputs["irfft2"].clear()
-    record(StretchingSeries(kind=ModelKind.MHD_ELSASSER), state)
+    record(StretchingSeries(), state)
     conserved_quantities(state)
     calls = [np.array_equal(a, omega_hat) for a in fft_counts.inputs["irfft2"]]
     assert sum(calls) == 1
@@ -478,7 +478,7 @@ def test_record_transform_count(kind, fft_counts):
     state = stepped_state(kind, 32)
     state.velocity()
     fft_counts.update(rfft2=0, irfft2=0)
-    record(StretchingSeries(kind=kind), state)
+    record(StretchingSeries(), state)
     assert (fft_counts["irfft2"], fft_counts["rfft2"]) == ROW_TRANSFORMS[kind]
 
 
