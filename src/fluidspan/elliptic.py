@@ -50,6 +50,7 @@ from .fields import (
     gradient_values,
     half_plane_dot,
     to_physical,
+    to_spectral,
     velocity_hat,
 )
 
@@ -86,8 +87,8 @@ def _flux(grid, mu, x_hat):
 def _div_hat(grid, fx, fy):
     """Coefficients of div(fx, fy) from its grid samples: 2 forward
     transforms."""
-    div_y = derivative_hat(grid, np.fft.rfft2(fy), 0, 1)
-    div = derivative_hat(grid, np.fft.rfft2(fx), 1, 0)
+    div_y = derivative_hat(grid, to_spectral(grid, fy), 0, 1)
+    div = derivative_hat(grid, to_spectral(grid, fx), 1, 0)
     div += div_y
     return div
 

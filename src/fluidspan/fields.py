@@ -6,6 +6,10 @@ quadratic term is formed pointwise in physical space and brought back by
 one forward transform masked by the grid's 2/3 rule (Orszag 1971).  The
 time integrator in :mod:`fluidspan.models` works on these kernels directly.
 
+Every forward transform of the package is :func:`to_spectral`: an rfft2
+into a half plane it makes, so the complex pass along x runs in place in
+the array the real pass along y just wrote, not into a second plane.
+
 :class:`ScalarField` carries physical samples on a uniform nx x ny grid
 together with an on-demand rfft2 mirror; the field-level toolbox
 (derivatives, inverse Laplacian, Biot-Savart, Poisson bracket, dealiasing)
@@ -118,6 +122,17 @@ class Grid:
         # give the masked product's derivative.
         self.kxky = self.KXd * self.KYd * self.dealias_keep
         self.ky2_minus_kx2 = (self.KYd**2 - self.KXd**2) * self.dealias_keep
+        # Read-only, for tail_enstrophy_fraction: each rfft2 coefficient's
+        # multiplicity in the full spectrum (2 on the interior ky columns, 1
+        # on ky = 0 and on the Nyquist column, ny being even), and the ring
+        # max(|kx| / (nx/2), |ky| / (ny/2)) > 7/8 of the top eighth of
+        # wavenumbers, each axis held against its own Nyquist.
+        self.half_plane_weights = np.full((self.nx, self.ny // 2 + 1), 2.0)
+        self.half_plane_weights[:, 0] = self.half_plane_weights[:, -1] = 1.0
+        self.tail_ring = np.maximum(np.abs(self.KX) / (self.nx / 2),
+                                    np.abs(self.KY) / (self.ny / 2)) > 0.875
+        self.half_plane_weights.setflags(write=False)
+        self.tail_ring.setflags(write=False)
 
     def __eq__(self, other):
         return isinstance(other, Grid) and self.nx == other.nx and self.ny == other.ny
@@ -171,7 +186,7 @@ class ScalarField:
         if callable(self._hat):
             return self._hat()
         if self._hat is None:
-            self._hat = np.fft.rfft2(self.values)
+            self._hat = to_spectral(self.grid, self.values)
         return self._hat
 
     @property
@@ -241,6 +256,13 @@ def same_grid(*fields):
 _I_POWERS = (1.0, 1j, -1.0, -1j)
 
 
+def to_spectral(grid, values):
+    """rfft2 coefficients of the samples ``values``, bit for bit those of
+    ``np.fft.rfft2(values)``: the real pass along y writes the half plane
+    made here, and the complex pass along x runs in it."""
+    return np.fft.rfft2(values, out=np.empty((grid.nx, grid.ny // 2 + 1), complex))
+
+
 def to_physical(grid, hat):
     """Samples of the field with rfft2 coefficients ``hat``."""
     return np.fft.irfft2(hat, s=(grid.nx, grid.ny))
@@ -254,7 +276,7 @@ def dealias_hat(grid, hat):
 def product_hat(grid, values):
     """Dealiased coefficients of a quadratic term sampled on the grid: one
     forward transform, masked in place."""
-    hat = np.fft.rfft2(values)
+    hat = to_spectral(grid, values)
     hat *= grid.dealias_keep
     return hat
 
@@ -538,26 +560,15 @@ def kato_ratio(w, omega, p):
     return kato_quotient(grad_u_inf_norm(w), omega.max_abs(), sobolev_norm(omega, 1, p))
 
 
-def half_plane_weights(grid):
-    """Multiplicity of each rfft2 coefficient in the full spectrum: 2 on the
-    interior ky columns, 1 on ky = 0 and on the Nyquist column (ny is even),
-    so sum(w |f_hat|^2) / (nx ny) = sum(f^2) by Parseval."""
-    w = np.full((grid.nx, grid.ny // 2 + 1), 2.0)
-    w[:, 0] = w[:, -1] = 1.0
-    return w
-
-
 def tail_enstrophy_fraction(omega):
-    """Fraction of enstrophy carried by the top eighth of wavenumbers.
-
-    Uses the ring max(|kx| / (nx/2), |ky| / (ny/2)) > 7/8, each axis held
-    against its own Nyquist; a fraction above ~1e-6 flags resolution loss.
-    """
+    """Fraction of enstrophy carried by the top eighth of wavenumbers (the
+    grid's ``tail_ring``, weighted by its ``half_plane_weights``); a
+    fraction above ~1e-6 flags resolution loss."""
     g = omega.grid
-    hat = omega.hat
-    power = half_plane_weights(g) * np.abs(hat) ** 2
-    ring = np.maximum(np.abs(g.KX) / (g.nx / 2), np.abs(g.KY) / (g.ny / 2)) > 0.875
+    power = np.abs(omega.hat)
+    power *= power
+    power *= g.half_plane_weights
     total = float(np.sum(power))
     if total == 0.0:
         return 0.0
-    return float(np.sum(power[ring])) / total
+    return float(np.sum(power[g.tail_ring])) / total

@@ -234,6 +234,12 @@ class RunResult:
         return self.rows[-1]["t"] if self.rows else 0.0
 
 
+def _unfinished(state, t_end):
+    """Whether a march at ``state`` has a step left: t_end - t is more than
+    round-off."""
+    return state.t < t_end - 1e-14
+
+
 def march(state, ens, t_end, dt_max, cfl=0.5):
     """Advance ``state`` by RK4 steps to ``t_end``, yielding ``(state, ens)``
     after each step: the one time loop of the run, the criteria and the demos.
@@ -244,12 +250,17 @@ def march(state, ens, t_end, dt_max, cfl=0.5):
     entry points are looked up as this module's globals on every call:
     benchmarks/spans.py wraps them here.
     """
-    while state.t < t_end - 1e-14:
+    while _unfinished(state, t_end):
         dt = min(dt_max, cfl_limit(state, cfl), t_end - state.t)
         state, stages = step_detailed(state, dt, check_cfl=False)
-        if ens is not None:
-            ens = advect_flow_map(ens, StageVelocity(stages), dt)
-        del stages  # not held through the caller's work and the next step
+        # The stage velocities go once the flow map's provider is built, and
+        # the provider once it has advected: neither is held through the
+        # advection, the caller's work or the next step.
+        provider = StageVelocity(stages) if ens is not None else None
+        del stages
+        if provider is not None:
+            ens = advect_flow_map(ens, provider, dt)
+            del provider
         yield state, ens
 
 
@@ -298,12 +309,16 @@ def run(config, csv_stream=None):
             initial_checks["rho0_w4p"] = sobolev_norm(state.density(), 4, config.p)
             initial_checks["rho0_w4p_within_100"] = initial_checks["rho0_w4p"] <= 100.0
         emit(state)
-        for steps, (state, ens) in enumerate(
-                march(state, ens, config.t_end, config.dt_max, config.cfl), 1):
-            if steps % config.diag_every == 0:
+        # A state is dropped once its row is written or skipped, so march
+        # alone holds it while it steps and advects the flow map.  (The count
+        # is kept by hand: enumerate's reused result tuple would hold it.)
+        marching = march(state, ens, config.t_end, config.dt_max, config.cfl)
+        state = None
+        for state, ens in marching:
+            steps += 1
+            if steps % config.diag_every == 0 or not _unfinished(state, config.t_end):
                 emit(state)
-        if steps % config.diag_every:
-            emit(state)
+            state = None
     except InstabilityError as exc:
         termination = f"instability: {exc}"
         status = 3

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
+import types
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +50,7 @@ from .fields import (
     lp_terms,
     operator_norm_2x2,
     sobolev_norm,
+    to_spectral,
     TWO_PI,
 )
 from .models import MHD_KINDS, ModelKind
@@ -307,8 +309,10 @@ def jacobian_norms(ens):
 
 def _on_labels(m, planes):
     """Periodic bicubic interpolation of planes sampled on the m x m label
-    grid; each plane must be periodic in the label."""
-    return PeriodicInterpolator([np.fft.rfft2(p) for p in planes], (m, m))
+    grid; each plane must be periodic in the label.  The label grid stands
+    in for a Grid by its shape alone: m may be odd or below 8."""
+    labels = types.SimpleNamespace(nx=m, ny=m)
+    return PeriodicInterpolator([to_spectral(labels, p) for p in planes], (m, m))
 
 
 def _map_residual(targets, labels, dx, dy):
@@ -556,7 +560,7 @@ def _force_at(state, pos):
     g = state.grid
     if kind is ModelKind.IIE:
         u = state.velocity()
-        hats = gradient_hat(g, np.fft.rfft2(0.5 * (u.u.values**2 + u.v.values**2)))
+        hats = gradient_hat(g, to_spectral(g, 0.5 * (u.u.values**2 + u.v.values**2)))
     elif kind in MHD_KINDS:
         hats = gradient_hat(g, -state.current_hat())
     else:

@@ -63,6 +63,7 @@ from .fields import (
     same_grid,
     sobolev_norm,
     to_physical,
+    to_spectral,
 )
 
 
@@ -250,9 +251,9 @@ def _dot(a1, a2, f1, f2):
 def _neg_curl_div_hat(grid, t12, t22_minus_t11):
     """Coefficients of -curl div T for a symmetric stress T sampled on the
     grid: kx ky (T22 - T11)^ - (ky^2 - kx^2) T12^, two forward transforms."""
-    hat = np.fft.rfft2(t22_minus_t11)
+    hat = to_spectral(grid, t22_minus_t11)
     hat *= grid.kxky
-    s = np.fft.rfft2(t12)
+    s = to_spectral(grid, t12)
     s *= grid.ky2_minus_kx2
     hat -= s
     return hat
@@ -292,7 +293,7 @@ def _tendency(state):
         zm2 *= zp2
         zm1 *= zp1
         zm2 -= zm1
-        mixed = np.fft.rfft2(zm2)
+        mixed = to_spectral(g, zm2)
         mixed *= g.kxky
         # -(d_x^2 P - d_y^2 R + d_x d_y S) = kx^2 P^ - ky^2 R^ + kx ky S^
         kx2, ky2 = g.KXd**2, g.KYd**2

@@ -13,6 +13,11 @@ apart.
 No function of the package takes an ``out`` parameter: planes are
 allocated by the function that makes them, under the one allocator policy
 set at import, not lent by callers.
+
+Every forward transform goes through ``fields.to_spectral``, and no module
+calls a 1-D entry point of ``numpy.fft`` or ``scipy.fft``: the transform
+counters of the tests and of benchmarks/spans.py wrap the 2D and nD entry
+points only.
 """
 
 import ast
@@ -135,3 +140,50 @@ def test_no_out_parameters():
                 if any(p is not None and p.arg == "out" for p in params):
                     found.append(f"{module}.{getattr(node, 'name', '<lambda>')}:{node.lineno}")
     assert not found, "functions with an out parameter: " + ", ".join(found)
+
+
+FORWARD = {"rfft2", "rfftn"}
+ONE_D = {"rfft", "irfft", "fft", "ifft"}
+FFT_MODULES = {"numpy.fft", "scipy.fft"}
+
+
+def _fft_references(module):
+    """(entry point, enclosing def, line) of each reference in the module to
+    a forward or 1-D transform of numpy.fft or scipy.fft: an attribute of a
+    name that is or aliases one of those modules (np.fft.rfft2, sfft.fft),
+    or a name imported from one."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    aliases = {"fft"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases |= {a.asname for a in node.names if a.name in FFT_MODULES and a.asname}
+        elif isinstance(node, ast.ImportFrom) and node.module in ("numpy", "scipy"):
+            aliases |= {a.asname or a.name for a in node.names if a.name == "fft"}
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = node.name if scope is None else f"{scope}.{node.name}"
+        names = FORWARD | ONE_D
+        if isinstance(node, ast.Attribute) and node.attr in names:
+            base = node.value
+            tail = base.attr if isinstance(base, ast.Attribute) else getattr(base, "id", None)
+            if tail in aliases:
+                found.append((node.attr, scope, node.lineno))
+        elif isinstance(node, ast.ImportFrom) and node.module in FFT_MODULES:
+            found.extend((a.name, scope, node.lineno) for a in node.names if a.name in names)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, None)
+    return found
+
+
+def test_forward_transforms_go_through_to_spectral():
+    refs = {module: _fft_references(module) for module in MODULES}
+    kernel = [(name, scope) for name, scope, _ in refs["fields"] if scope == "to_spectral"]
+    assert kernel == [("rfft2", "to_spectral")]
+    stray = [f"{module}.{scope or '<module>'}:{line} {name}" for module, found in refs.items()
+             for name, scope, line in found
+             if (module, scope) != ("fields", "to_spectral")]
+    assert not stray, "transforms outside fields.to_spectral: " + ", ".join(stray)

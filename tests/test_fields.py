@@ -28,6 +28,7 @@ from fluidspan.fields import (
     spectral_derivative,
     tail_enstrophy_fraction,
     to_physical,
+    to_spectral,
 )
 
 
@@ -424,3 +425,32 @@ def test_kernels_keep_the_bits(n):
         out = derivative_values(grid, hat, a, b)
         assert _same_bits(out, to_physical(grid, derivative_hat(grid, hat, a, b))), (a, b)
         assert _same_bits(out, np.fft.irfft2(plain, s=(n, n))), (a, b)
+
+
+@pytest.mark.parametrize("nx, ny", [(8, 10), (64, 64), (128, 96)])
+def test_to_spectral_is_rfft2_bit_for_bit(nx, ny, fft_counts):
+    # the one forward kernel runs rfft2's second pass in its own output: the
+    # same bits, one counted rfft2 per call, a fresh contiguous half plane
+    grid = Grid(nx, ny)
+    field = ScalarField(grid, np.random.default_rng(nx * ny).normal(size=(nx, ny)))
+    assert not field.values.flags.writeable
+    hat = to_spectral(grid, field.values)
+    assert fft_counts["rfft2"] == 1 and fft_counts["irfft2"] == 0
+    assert hat.shape == (nx, ny // 2 + 1) and hat.dtype == np.complex128
+    assert hat.flags.c_contiguous and hat.flags.writeable
+    assert hat.tobytes() == np.fft.rfft2(field.values).tobytes()
+    assert field.hat.tobytes() == hat.tobytes()
+
+
+def test_tail_enstrophy_reads_the_grids_weights():
+    # the weights and the ring are the grid's, read-only, and give the
+    # fraction of the planes a row used to build, bit for bit
+    grid = Grid(32, 48)
+    f = random_smooth_field(grid, seed=3, kmax=20)
+    w = np.full((grid.nx, grid.ny // 2 + 1), 2.0)
+    w[:, 0] = w[:, -1] = 1.0
+    power = w * np.abs(f.hat) ** 2
+    ring = np.maximum(np.abs(grid.KX) / 16, np.abs(grid.KY) / 24) > 0.875
+    assert tail_enstrophy_fraction(f) == float(np.sum(power[ring])) / float(np.sum(power))
+    assert np.array_equal(grid.half_plane_weights, w) and np.array_equal(grid.tail_ring, ring)
+    assert not grid.half_plane_weights.flags.writeable and not grid.tail_ring.flags.writeable

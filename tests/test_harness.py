@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import fields
 
 import numpy as np
@@ -402,6 +403,34 @@ def test_march_matches_reference_loop():
 def test_march_lands_on_t_end(dt_max, steps):
     states = [s for s, _ in march(initial_state(ModelKind.EULER, Grid(16)), None, 1.0, dt_max)]
     assert len(states) == steps and states[-1].t == 1.0
+
+
+@pytest.mark.parametrize("diag_every", [1, 3])
+def test_advection_holds_neither_the_old_state_nor_the_stages(monkeypatch, diag_every):
+    # run() lets go of a state once its row is written or skipped, and march
+    # of the step's stage velocities once the flow map's provider is built:
+    # while the flow map advects, neither the state the step started from
+    # nor a stage velocity is alive.  The rows are still the first, every
+    # diag_every-th and the last.
+    started_from, stage_planes, held = [], [], []
+
+    def step(state, dt, **kwargs):
+        started_from.append(weakref.ref(state))
+        new, stages = step_detailed(state, dt, **kwargs)
+        stage_planes.append([weakref.ref(w.u.values) for w in stages])
+        return new, stages
+
+    def advect(ens, provider, dt):
+        held.append((started_from[-1]() is not None,
+                     any(r() is not None for r in stage_planes[-1])))
+        return advect_flow_map(ens, provider, dt)
+
+    monkeypatch.setattr(harness, "step_detailed", step)
+    monkeypatch.setattr(harness, "advect_flow_map", advect)
+    result = run(small_config(model="boussinesq", t_end=0.1, diag_every=diag_every))
+    assert held == [(False, False)] * 5
+    expected = [0.0, 0.02, 0.04, 0.06, 0.08, 0.1] if diag_every == 1 else [0.0, 0.06, 0.1]
+    assert [row["t"] for row in result.rows] == pytest.approx(expected, abs=1e-15)
 
 
 def test_march_without_ensemble_builds_no_stage_velocity(monkeypatch):
