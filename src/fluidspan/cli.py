@@ -6,9 +6,10 @@
                      --c C [--delta D] [--log10-delta L] [--out DIR]
     fluidspan verify --suite {fast|full}
 
-Exit codes: 0 ok, 1 verification failure, 2 config error (also a given
-path that cannot be read or written), 3 instability, 4 hypothesis
-violation, 5 solver failure (elliptic non-convergence or vacuum).
+Exit codes: 0 ok, 1 verification failure.  Any other failure prints one
+``label: message`` line and exits with the ``exit_code`` of its class in
+fluidspan.errors; a given path that cannot be read or written is a config
+error.
 FLUIDSPAN_THREADS caps the sweep worker pool.
 """
 
@@ -30,24 +31,11 @@ from .bootstrap import (
     mhd_certificate,
     mhd_constants,
 )
-from .errors import (
-    ConfigError,
-    ConvergenceError,
-    FluidspanError,
-    HypothesisError,
-    InstabilityError,
-    NestedLogDomainError,
-    ParameterError,
-    VacuumError,
-)
+from .errors import ConfigError, FluidspanError, NestedLogDomainError, ParameterError
 from .harness import parse_config_file, run_to_directory, sweep
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
-EXIT_CONFIG = 2
-EXIT_INSTABILITY = 3
-EXIT_HYPOTHESIS = 4
-EXIT_SOLVER = 5
 
 
 def _build_parser():
@@ -112,7 +100,7 @@ def _cmd_run(args):
     result = run_to_directory(config, out_dir=args.out)
     print(f"run finished: t = {result.final_time:.6g}, status = {result.status}, "
           f"{result.termination}")
-    return result.status if result.status else EXIT_OK
+    return result.status
 
 
 def _cmd_sweep(args):
@@ -223,8 +211,7 @@ def _cmd_bounds(args):
 
 def _cmd_verify(args):
     if args.suite not in ("fast", "full"):
-        print(f"unknown suite '{args.suite}' (expected fast or full)", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"unknown suite '{args.suite}' (expected fast or full)")
     from .acceptance import run_suite
 
     results = run_suite(args.suite)
@@ -247,24 +234,12 @@ def main(argv=None):
             code = _cmd_bounds(args)
         else:
             code = _cmd_verify(args)
-    except (HypothesisError, NestedLogDomainError) as exc:
-        print(f"hypothesis violation: {exc}", file=sys.stderr)
-        code = EXIT_HYPOTHESIS
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        code = EXIT_CONFIG
-    except InstabilityError as exc:
-        print(f"instability: {exc}", file=sys.stderr)
-        code = EXIT_INSTABILITY
-    except (ConvergenceError, VacuumError) as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        code = EXIT_SOLVER
-    except OSError as exc:  # the CLI reads and writes only the paths it was given
-        print(f"config error: {exc}", file=sys.stderr)
-        code = EXIT_CONFIG
     except FluidspanError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code = EXIT_VERIFY
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        code = exc.exit_code
+    except OSError as exc:  # the CLI reads and writes only the paths it was given
+        print(f"{ConfigError.label}: {exc}", file=sys.stderr)
+        code = ConfigError.exit_code
     return code
 
 

@@ -1,16 +1,19 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and how each failure ends.
 
-The CLI maps these onto exit codes: ConfigError (and an OSError on a path
-the user gave) -> 2, InstabilityError -> 3, HypothesisError /
-NestedLogDomainError -> 4, ConvergenceError / VacuumError -> 5.  Inside a
-run, instability and chord-arc violations end with status 3 and elliptic
-non-convergence and vacuum with status 5; the run still writes
-run_meta.json and ``fluidspan run`` exits with the status.
+Each class carries the code the CLI exits with and the label that starts
+the one line it prints, ``label: message``.  A run that meets an
+instability, a chord-arc violation, an elliptic non-convergence or a
+vacuum ends with that code as its status and ``label: message`` as its
+termination; it still writes run_meta.json, and ``fluidspan run`` exits
+with the status.
 """
 
 
 class FluidspanError(Exception):
     """Base class for all package errors."""
+
+    exit_code = 1
+    label = "error"
 
 
 class SolvabilityError(FluidspanError):
@@ -28,6 +31,9 @@ class ParameterError(FluidspanError):
 class HypothesisError(FluidspanError):
     """A closed-form bound was requested outside its hypothesis (e.g. C <= e)."""
 
+    exit_code = 4
+    label = "hypothesis violation"
+
 
 class NestedLogDomainError(FluidspanError):
     """A nested-log lifespan formula was evaluated outside its domain.
@@ -35,6 +41,9 @@ class NestedLogDomainError(FluidspanError):
     ``level`` identifies the innermost log that went nonpositive
     (1 = innermost).
     """
+
+    exit_code = 4
+    label = "hypothesis violation"
 
     def __init__(self, message, level):
         super().__init__(message)
@@ -44,9 +53,15 @@ class NestedLogDomainError(FluidspanError):
 class VacuumError(FluidspanError):
     """Density touches zero (or is not bounded away from it)."""
 
+    exit_code = 5
+    label = "vacuum"
+
 
 class ConvergenceError(FluidspanError):
     """Iterative solver failed to reach tolerance; carries the solve report."""
+
+    exit_code = 5
+    label = "elliptic non-convergence"
 
     def __init__(self, message, report=None):
         super().__init__(message)
@@ -56,9 +71,15 @@ class ConvergenceError(FluidspanError):
 class InstabilityError(FluidspanError):
     """Time integration produced non-finite values."""
 
+    exit_code = 3
+    label = "instability"
+
 
 class ChordArcError(FluidspanError):
     """Measured flow-map stretching exceeded its exponential bound."""
+
+    exit_code = 3
+    label = "chord-arc violation"
 
 
 class ReconstructionError(FluidspanError):
@@ -67,3 +88,6 @@ class ReconstructionError(FluidspanError):
 
 class ConfigError(FluidspanError):
     """Malformed or inconsistent run configuration."""
+
+    exit_code = 2
+    label = "config error"

@@ -30,13 +30,7 @@ except ImportError:  # Windows
 from . import __version__
 from .bootstrap import bootstrap_monitor, theory_window
 from .elliptic import METHOD
-from .errors import (
-    ChordArcError,
-    ConfigError,
-    ConvergenceError,
-    InstabilityError,
-    VacuumError,
-)
+from .errors import ChordArcError, ConfigError, ConvergenceError, InstabilityError, VacuumError
 from .fields import Grid, sobolev_norm, tail_enstrophy_fraction
 from .lagrangian import (
     StageVelocity,
@@ -213,13 +207,12 @@ def _fmt(x):
 
 @dataclass
 class RunResult:
-    status: int            # 0 ok, 3 instability or chord-arc, 5 solver failure
+    status: int            # 0 ok, else the exit_code of the error that ended the run
     config: RunConfig
     series: StretchingSeries
     monitor: object
     termination: str
     t_resolution: float | None = None
-    kato_sup: float = 0.0
     c_fit: float = 0.0
     initial_checks: dict = field(default_factory=dict)
     solver: dict | None = None  # run_meta.json's elliptic summary (IIE only)
@@ -267,11 +260,11 @@ def march(state, ens, t_end, dt_max, cfl=0.5):
 def run(config, csv_stream=None):
     """Integrate one configured run, recording diagnostics as configured.
 
-    Returns a RunResult; an instability or chord-arc violation ends the run
-    with status 3, an elliptic non-convergence or vacuum (also one in the
-    initial data) with status 5, each
-    keeping the rows collected so far (the CSV stream, when given, has
-    already seen them line by line).
+    Returns a RunResult; an instability, chord-arc violation, elliptic
+    non-convergence or vacuum (also one in the initial data) ends the run
+    with the error's ``exit_code`` as its status and ``label: message`` as
+    its termination, keeping the rows collected so far (the CSV stream,
+    when given, has already seen them line by line).
     """
     config.validate()
     kind = ModelKind.parse(config.model)
@@ -319,19 +312,10 @@ def run(config, csv_stream=None):
             if steps % config.diag_every == 0 or not _unfinished(state, config.t_end):
                 emit(state)
             state = None
-    except InstabilityError as exc:
-        termination = f"instability: {exc}"
-        status = 3
-    except ChordArcError as exc:
-        termination = f"chord-arc violation: {exc}"
-        status = 3
-    except ConvergenceError as exc:
-        termination = f"elliptic non-convergence: {exc}"
-        reports.append(exc.report)
-        status = 5
-    except VacuumError as exc:
-        termination = f"vacuum: {exc}"
-        status = 5
+    except (InstabilityError, ChordArcError, ConvergenceError, VacuumError) as exc:
+        status, termination = exc.exit_code, f"{exc.label}: {exc}"
+        if isinstance(exc, ConvergenceError):
+            reports.append(exc.report)
 
     c_fit = config.c_fit if config.c_fit > 0 else FROZEN_C_FIT[kind]
     monitor = bootstrap_monitor(series, kind, config.delta, c_fit=c_fit)
@@ -340,7 +324,6 @@ def run(config, csv_stream=None):
         if row["tail_enstrophy"] is not None and row["tail_enstrophy"] > TAIL_ENSTROPHY_LOSS:
             t_res = row["t"]
             break
-    kato_sup = max((row["kato"] for row in series.rows), default=0.0)
     solver = None
     if kind is ModelKind.IIE:
         solver = {"method": METHOD, "solves": len(reports),
@@ -349,8 +332,7 @@ def run(config, csv_stream=None):
                   "residual_max": max((r.residual for r in reports), default=0.0)}
     return RunResult(status=status, config=config, series=series, monitor=monitor,
                      termination=termination, t_resolution=t_res,
-                     kato_sup=kato_sup, c_fit=c_fit, initial_checks=initial_checks,
-                     solver=solver)
+                     c_fit=c_fit, initial_checks=initial_checks, solver=solver)
 
 
 def _usage():
@@ -385,7 +367,6 @@ def run_to_directory(config, out_dir=None):
         "termination": result.termination,
         "status": result.status,
         "c_fit": result.c_fit,
-        "kato_sup": result.kato_sup,
         "t_resolution": result.t_resolution,
         "initial_checks": result.initial_checks,
         "solver": result.solver,
@@ -421,7 +402,6 @@ def _sweep_worker(args):
         "T_resolution": result.t_resolution,
         "T_theory": t_theory,
         "status": result.status,
-        "kato_sup": result.kato_sup,
     }
 
 

@@ -45,7 +45,6 @@ from .fields import (
     gradient_hat,
     gradient_values,
     inverse_laplacian_hat,
-    kato_quotient,
     lp_norm,
     lp_terms,
     operator_norm_2x2,
@@ -369,13 +368,12 @@ class StretchingSeries:
 
     ``rows`` holds one dict per row, keyed by run.csv's column names, plus
     lowercase keys that run.csv does not carry: log M and log N,
-    ||grad u||_inf and ||grad u||_{1,p}, the Kato quotient, the memory
-    integrands and, for MHD, int Y, read by the next row's trapezoids, the
-    calibration and the run's Kato supremum.  M and N accumulate trapezoidally in log
-    space from the instantaneous integrands; Q, Y, Z follow each model's
-    definition with Mdot, Ndot taken from the analytic relations
-    Mdot = ||grad u||_inf M and Ndot = ||grad u||_{1,p} N (no finite
-    differencing).
+    ||grad u||_inf and ||grad u||_{1,p}, the memory integrands and, for
+    MHD, int Y, read by the next row's trapezoids and the calibration.  M
+    and N accumulate trapezoidally in log space from the instantaneous
+    integrands; Q, Y, Z follow each model's definition with Mdot, Ndot
+    taken from the analytic relations Mdot = ||grad u||_inf M and
+    Ndot = ||grad u||_{1,p} N (no finite differencing).
     """
 
     p: float = 4.0
@@ -421,11 +419,11 @@ def record(series, state, ens=None):
     each plane one inverse transform built once.  For the Biot-Savart
     models u = grad^perp psi with psi = Lap^{-1} omega, so psi's order-2 and
     order-3 planes give u's table to order 2 (||u||_{2,p}, ||grad u||_inf,
-    ||grad u||_{1,p}) and grad omega = grad Lap psi (||omega||_{1,p} and,
-    with ||omega||_inf, the Kato ratio).  IIE's u is not K omega and is
-    divergence-free only to the solver tolerance, so it keeps u's own
-    table and omega's gradient.  rho's table to order 2 gives
-    ||rho||_{2,p}.  For MHD, B = grad^perp rho and J = Lap rho: B itself
+    ||grad u||_{1,p}) and grad omega = grad Lap psi (||omega||_{1,p}).
+    IIE's u is not K omega and is divergence-free only to the solver
+    tolerance, so it keeps u's own table and omega's gradient.  rho's
+    table to order 2 gives ||rho||_{2,p}.  For MHD, B = grad^perp rho and
+    J = Lap rho: B itself
     (cached on the state) holds rho's order-1 planes, and rho's order-2 and
     order-3 planes give B's table (||B||_{2,p}), J and grad J; then
     xi, eta = omega +- J take their orders <= 1 from those sums and their
@@ -492,11 +490,10 @@ def record(series, state, ens=None):
                 f"measured stretching {measured:.6f} exceeds M = {m_now:.6f} "
                 f"at t = {state.t}")
 
-    omega_inf = row["omega_inf"] = omega.max_abs()
-    omega_w1p = row["omega_w1p"] = sum(norms(omega.values, *grad_omega))
+    row["omega_inf"] = omega.max_abs()
+    row["omega_w1p"] = sum(norms(omega.values, *grad_omega))
     u_inf = row["u_inf"] = u.max_abs()
     u_w2p = row["u_w2p"] = sum(u0 + u1 + u2)
-    row["kato"] = kato_quotient(g_m, omega_inf, omega_w1p)
     row.update(rho_w2p=None, B_w2p=None, Q=None, Y=None, Z=None)
     rho = state.density()
 

@@ -192,12 +192,26 @@ def test_saturated_generic_envelope_violation_is_robust():
 
 def test_saturated_trajectories_obey_corrected_envelopes():
     # With the factor-C bookkeeping of the derivation restored
-    # (Lambda_1 -> 2 C (1 + log(1 + C))), domination holds on the window.
+    # (Lambda_1 -> 2 C (1 + log(1 + C)), Lambda_2..Lambda_4 unchanged),
+    # domination holds on the window for M, N and Q:
+    #   log M <= E := e^{Lambda_1 t},   log log N <= log Lambda_2 + E,
+    #   log log Q <= log(log Lambda_4 + Lambda_3 e^E),
+    # the last two wherever log N, log Q > 0 (N from t > 0, Q from its
+    # first crossing of 1 on); below that they hold trivially.
     for c in (3.0, 5.0, 10.0):
         rep = integrate_saturated_system("generic", c, 0.5)
+        lam = growth_constants(c)
         lam1 = 2.0 * c * (1.0 + math.log1p(c))
         env_m = np.exp(np.minimum(lam1 * rep.t, 700.0))
         assert np.all(env_m - rep.log_m >= 0.0)
+        with np.errstate(divide="ignore"):
+            log_q = rep.log1p_q + np.log(-np.expm1(-rep.log1p_q))  # log Q from log(1 + Q)
+        n, q = rep.log_n > 0.0, log_q > 0.0
+        assert n[1:].all() and q.sum() > len(q) // 2
+        margin_n = math.log(lam.lambda2) + env_m[n] - np.log(rep.log_n[n])
+        env_q = np.log(math.log(lam.lambda4) + lam.lambda3 * np.exp(np.minimum(env_m[q], 700.0)))
+        margin_q = env_q - np.log(log_q[q])
+        assert margin_n.min() >= 0.0 and margin_q.min() >= 0.0, (c, margin_n.min(), margin_q.min())
 
 
 def _log_trapezoid_cumsum_loop(t, log_f):

@@ -1,9 +1,40 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
+from fluidspan import cli
 from fluidspan.cli import main
+from fluidspan.errors import FluidspanError, NestedLogDomainError
+
+ERRORS = [FluidspanError, *FluidspanError.__subclasses__()]
+
+
+def _readme_exit_table():
+    """README's exit-code table: label -> (exit code, the 'raised as' cell)."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return {label: (int(code), raised) for code, label, raised
+            in re.findall(r"^\| (\d) \| `([^`]+)` \| (.+) \|$", text, re.MULTILINE)}
+
+
+@pytest.mark.parametrize("cls", ERRORS, ids=lambda c: c.__name__)
+def test_failure_table(monkeypatch, capsys, cls):
+    # Each error class carries the exit code and label README lists for it,
+    # and the CLI ends a command that raises it with that code and one
+    # "label: message" line.
+    code, raised = _readme_exit_table()[cls.label]
+    assert cls.exit_code == code
+    assert cls.__name__ in raised or cls.label == "error", (cls, raised)
+
+    def failing(args):
+        raise cls("boom", 1) if cls is NestedLogDomainError else cls("boom")
+
+    monkeypatch.setattr(cli, "_cmd_bounds", failing)
+    assert main(["bounds", "--model", "iie"]) == cls.exit_code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"{cls.label}: boom\n")
 
 
 def test_bounds_generic_endpoint(capsys):

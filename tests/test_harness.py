@@ -1,23 +1,25 @@
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
 import weakref
-from dataclasses import fields
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluidspan.bootstrap import _first_crossing, calibrate_c_fit
-from fluidspan.errors import ConfigError
+from fluidspan.bootstrap import _first_crossing, calibrate_c_fit, theory_window
+from fluidspan.errors import ConfigError, VacuumError
 from fluidspan import harness
-from fluidspan.fields import Grid
+from fluidspan.fields import Grid, sobolev_norm
 from fluidspan.harness import (
     FROZEN_C_FIT,
     RUN_CSV_HEADER,
+    TAIL_ENSTROPHY_LOSS,
     RunConfig,
     config_from_dict,
     march,
@@ -30,6 +32,7 @@ from fluidspan.harness import (
 from fluidspan.lagrangian import StageVelocity, advect_flow_map, identity_ensemble
 from fluidspan.models import (
     DELTA_NORMS,
+    MHD_KINDS,
     PROFILES,
     ModelKind,
     cfl_limit,
@@ -225,42 +228,133 @@ def _csv_columns(path):
     """run.csv as float columns; an empty field (a quantity the model does
     not carry) reads as nan."""
     header, *lines = path.read_text().splitlines()
+    names = header.split(",")
     rows = [[float(v) if v else math.nan for v in line.split(",")] for line in lines]
-    return dict(zip(header.split(","), np.array(rows).T))
+    return dict(zip(names, np.array(rows, dtype=float).reshape(len(rows), len(names)).T))
 
 
-def _t_emp_from_files(out_dir):
-    """T_emp re-derived from run.csv's t, M, N, Q, Y and Z columns and
-    run_meta.json's delta and c_fit: each bootstrap-hypothesis component
-    of the model, crossed by linear interpolation between rows."""
-    meta = json.loads((out_dir / "run_meta.json").read_text())
+# run_meta.json keys that record the process rather than a number of the run
+PROCESS_KEYS = {"wall_seconds", "timings", "solver", "threads", "version", "status",
+                "termination", "grid_note"}
+
+
+def _rederived_meta(out_dir, config):
+    """Every number of run_meta.json re-derived from run.csv and the config:
+    the config and its hash; c_fit, the config's or the frozen one; the
+    monitor, each bootstrap-hypothesis component of the model crossed by
+    linear interpolation between rows; t_resolution, the first row that
+    loses resolution; and for MHD the checks of a rebuilt initial state."""
     col = _csv_columns(out_dir / "run.csv")
-    delta, c = meta["config"]["delta"], meta["c_fit"]
+    kind = ModelKind.parse(config.model)
+    t, delta = col["t"], config.delta
+    c = config.c_fit or FROZEN_C_FIT[kind]
     components = {
-        "iie": [(c * delta * col["M"], 0.5), (c * delta * col["N"], 0.5),
-                (delta * col["Q"], 1.0)],
-        "boussinesq": [(delta * col["Y"], 1.0), (delta * col["Z"], 1.0)],
-        "mhd": [(col["Q"], 1.0), (c * delta * col["t"], 1.0)],
-    }[meta["config"]["model"]]
-    crossings = [_first_crossing(col["t"], cap - vals) for vals, cap in components]
-    return min(x for x in crossings if x is not None), meta["monitor"]["t_emp"]
+        "euler": {},
+        "iie": {"C*delta*M": (c * delta * col["M"], 0.5),
+                "C*delta*N": (c * delta * col["N"], 0.5), "delta*Q": (delta * col["Q"], 1.0)},
+        "boussinesq": {"delta*Y": (delta * col["Y"], 1.0), "delta*Z": (delta * col["Z"], 1.0)},
+        "mhd": {"Q": (col["Q"], 1.0), "C*delta*t": (c * delta * t, 1.0)},
+    }["mhd" if kind in MHD_KINDS else kind.value]
+    crossings = {} if delta == 0.0 else {
+        name: _first_crossing(t, cap - vals) for name, (vals, cap) in components.items()}
+    lost = t[col["tail_enstrophy"] > TAIL_ENSTROPHY_LOSS]
+    canon = "\n".join(f"{k} = {v}" for k, v in sorted(asdict(config).items()))
+    meta = {
+        "config": asdict(config),
+        "config_hash": hashlib.sha256(canon.encode()).hexdigest()[:16],
+        "c_fit": c,
+        "monitor": {"t_emp": min((x for x in crossings.values() if x is not None), default=None),
+                    "unconditional": not crossings, "components": crossings},
+        "t_resolution": float(lost[0]) if lost.size else None,
+        "initial_checks": {},
+    }
+    if kind in MHD_KINDS:
+        try:
+            rho = initial_state(kind, Grid(config.nx, config.ny), delta=delta,
+                                delta_norm=config.delta_norm, p=config.p,
+                                seed_profile=config.seed_profile).density()
+        except VacuumError:
+            pass
+        else:
+            norm = sobolev_norm(rho, 4, config.p)
+            meta["initial_checks"] = {"rho0_w4p": norm, "rho0_w4p_within_100": norm <= 100.0}
+    return meta
 
 
-@pytest.mark.parametrize("model, delta, t_end, delta_norm", [
-    ("iie", 0.1, 0.1, "inv_rho_minus_1_W2p"),
-    ("boussinesq", 2.0, 0.4, "rho_minus_1_W2p"),
-    ("mhd", 1.0, 0.3, "rho_minus_1_W3p"),
-])
-def test_t_emp_rederives_from_run_files(tmp_path, model, delta, t_end, delta_norm):
-    # The monitor reads the numbers run.csv holds, so T_emp follows from the
-    # files bit for bit.  On the IIE run numpy's exp and math.exp of log M and
-    # log N differ in the last bit on some rows, and T_emp with them.
-    cfg = small_config(model=model, delta=delta, t_end=t_end, dt_max=0.01,
-                       delta_norm=delta_norm, track_particles=False,
-                       output_dir=str(tmp_path))
-    assert run_to_directory(cfg).status == 0
-    rederived, recorded = _t_emp_from_files(tmp_path)
-    assert rederived == recorded
+def _check_run_files(out_dir, config):
+    """run_meta.json holds exactly the re-derived numbers and the process
+    records, and each number equals its re-derivation; returns the meta."""
+    meta = json.loads((out_dir / "run_meta.json").read_text())
+    expected = _rederived_meta(out_dir, config)
+    assert set(meta) == set(expected) | PROCESS_KEYS
+    assert {k: meta[k] for k in expected} == expected
+    return meta
+
+
+def _number(text):
+    return None if text == "" else float(text)
+
+
+# One small config per model, swept over two deltas.  Boussinesq's 1e-30 lies
+# inside the nested-log domain, so its member has a finite T_theory.
+REDERIVE_CASES = {
+    "euler": dict(deltas=[0.1, 0.0], t_end=0.1),
+    "boussinesq": dict(deltas=[2.0, 1e-30], t_end=0.4),
+    "iie": dict(deltas=[0.1, 0.0], t_end=0.1, delta_norm="inv_rho_minus_1_W2p"),
+    "mhd": dict(deltas=[1.0, 0.5], t_end=0.3, delta_norm="rho_minus_1_W3p"),
+    "mhd_elsasser": dict(deltas=[1.0, 0.0], t_end=0.3, delta_norm="rho_minus_1_W3p",
+                         track_particles=True),
+}
+
+
+@pytest.mark.parametrize("model", list(REDERIVE_CASES))
+def test_run_files_rederive_every_number(tmp_path, model):
+    # Each member's run_meta.json, and each sweep.csv row, follows from the
+    # member's run.csv and its config, bit for bit.
+    over = {"dt_max": 0.01, "track_particles": False, **REDERIVE_CASES[model]}
+    deltas = over.pop("deltas")
+    config = small_config(model=model, output_dir=str(tmp_path), **over)
+    sweep(config, deltas, out_dir=str(tmp_path))
+    header, *lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines]
+    assert header == "delta,T_emp,T_resolution,T_theory,status" and len(rows) == len(deltas)
+    for i, ((d, t_emp, t_res, t_theory, status), delta) in enumerate(zip(rows, deltas)):
+        meta = _check_run_files(tmp_path / f"delta_{i:02d}", replace(config, delta=delta))
+        monitor = meta["monitor"]
+        assert float(d) == delta
+        assert (t_emp == "unconditional") == monitor["unconditional"]
+        if not monitor["unconditional"]:
+            assert _number(t_emp) == monitor["t_emp"]
+        assert _number(t_res) == meta["t_resolution"]
+        assert _number(t_theory) == theory_window(model, meta["c_fit"], delta)
+        assert int(status) == meta["status"]
+    if model == "boussinesq":
+        assert _number(rows[1][3]) == pytest.approx(0.334, abs=1e-3)
+    if model != "euler":  # the first member's bootstrap window closes inside the run
+        assert _number(rows[0][1]) is not None
+
+
+# delta = 50 makes vacuum initial data for some norms, so failed runs are
+# drawn too.
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(st.fixed_dictionaries({
+    "model": st.sampled_from([k.value for k in ModelKind]),
+    "p": _finite(2.5, 6.0),
+    "delta": st.sampled_from([0.0, 1e-30, 1e-2, 0.1, 0.5, 1.0, 2.0, 50.0]),
+    "delta_norm": st.sampled_from(DELTA_NORMS),
+    "t_end": _finite(0.0, 0.4),
+    "dt_max": _finite(0.01, 0.05),
+    "particle_m": st.integers(4, 8),
+    "seed_profile": st.sampled_from(sorted(PROFILES)),
+    "diag_every": st.integers(1, 4),
+    "track_particles": st.booleans(),
+    "c_fit": st.one_of(st.just(0.0), _finite(1.0, 10.0)),
+}))
+def test_drawn_run_files_rederive_every_number(tmp_path_factory, values):
+    config = RunConfig(nx=16, ny=16, output_dir="unused", **values)
+    out = tmp_path_factory.mktemp("drawn")
+    run_to_directory(config, out_dir=str(out))
+    _check_run_files(out, config)
 
 
 def test_chord_arc_violation_ends_the_run_cleanly(tmp_path, monkeypatch):
